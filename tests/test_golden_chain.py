@@ -28,6 +28,7 @@ import pytest
 from repro.cot.chain import StressChainPipeline
 from repro.datasets.base import Sample
 from repro.model.foundation import FoundationModel
+from repro.model.pretrained import load_offtheshelf
 from repro.retrieval.retriever import RandomRetriever
 from repro.rng import make_rng
 from repro.video.frame import Video, VideoSpec
@@ -84,6 +85,13 @@ def _pipelines(model: FoundationModel, pool: list[Sample]):
         "refine": StressChainPipeline(
             model, test_time_refine=True, verification_pool=pool_videos,
             refine_rounds=2, num_verify_trials=2, seed=11,
+        ),
+        # Table VIII: a frozen vendor proxy (per-query noise in its
+        # describe/assess overrides) under test-time refinement.
+        "offtheshelf_refine": StressChainPipeline(
+            load_offtheshelf("gpt-4o"), test_time_refine=True,
+            verification_pool=pool_videos, refine_rounds=2,
+            num_verify_trials=2, seed=11,
         ),
     }
 
@@ -145,9 +153,9 @@ def test_chain_outputs_match_golden(update_golden):
 def test_golden_covers_every_variant():
     recorded = json.loads(GOLDEN_PATH.read_text())
     assert {case["variant"] for case in recorded} == {
-        "chain", "no_chain", "retriever", "refine",
+        "chain", "no_chain", "retriever", "refine", "offtheshelf_refine",
     }
-    assert len(recorded) == 16
+    assert len(recorded) == 20
 
 
 def test_served_results_match_golden():

@@ -7,9 +7,10 @@ same label, same float64 probability (``==``, no tolerance), same
 description and rationale cues, and the same dialogue transcript.
 
 The suite covers all four inference protocols (plain chain, direct
-assessment, retrieval-augmented, test-time refine), cold and warm
-caches, duplicate-heavy request mixes, and the ``run_many`` batch
-entry point.
+assessment, retrieval-augmented, test-time refine), the frozen
+off-the-shelf proxy with and without test-time refine (Table VIII),
+cold and warm caches, duplicate-heavy request mixes, and the
+``predict_many`` batch entry point.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import pytest
 from repro.cot.chain import StressChainPipeline
 from repro.datasets.base import Sample
 from repro.model.foundation import FoundationModel
+from repro.model.pretrained import load_offtheshelf
 from repro.retrieval.retriever import RandomRetriever
 from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
 from repro.video.frame import Video, VideoSpec
 
-VARIANTS = ("chain", "no_chain", "retriever", "refine")
+VARIANTS = ("chain", "no_chain", "retriever", "refine", "offtheshelf",
+            "offtheshelf_refine")
 
 
 def _videos(count: int, base_seed: int) -> list[Video]:
@@ -73,6 +76,12 @@ def _make_pipeline(variant: str, model, pool) -> StressChainPipeline:
             model,
             retriever=RandomRetriever(model, pool, num_examples=2, seed=3),
         )
+    if variant.startswith("offtheshelf"):
+        # The Table VIII vendor proxy: its describe/assess overrides add
+        # per-query noise, so every path must call them.
+        model = load_offtheshelf("gpt-4o")
+        if variant == "offtheshelf":
+            return StressChainPipeline(model)
     return StressChainPipeline(
         model, test_time_refine=True,
         verification_pool=[s.video for s in pool],
