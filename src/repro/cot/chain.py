@@ -10,20 +10,44 @@ Options cover every inference protocol in the evaluation:
 - ``retriever`` -- in-context example retrieval (Table VII);
 - ``test_time_refine=True`` -- refinement without weight updates, the
   protocol applied to frozen off-the-shelf models in Table VIII.
+
+The chain itself is one function, :func:`run_stages`, shared by every
+entry point: serial :meth:`StressChainPipeline.predict`, the serving
+batch executor behind :meth:`~StressChainPipeline.predict_many` and
+:class:`~repro.serving.StressService`, and the service's degraded
+cache-only answers.  Each stage asks a *stage store* for its value
+before computing it: ``predict`` uses a store that always computes,
+serving uses :class:`~repro.serving.cache.StageCaches`, and degraded
+mode uses a cache-only view that turns a miss into
+:class:`~repro.errors.CircuitOpenError`.  The stages call the model's
+video-level entry points with one shared trunk embedding, so subclass
+overrides (the off-the-shelf proxies' per-query noise) apply on every
+path and each request embeds its video once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.cot.incontext import incontext_logit_shift
 from repro.cot.rationale import Rationale
-from repro.deprecation import warn_deprecated
 from repro.errors import DeadlineExceededError, ModelError
 from repro.facs.descriptions import FacialDescription
-from repro.model.foundation import STRESSED, UNSTRESSED, FoundationModel
+from repro.model.foundation import (
+    STRESSED,
+    UNSTRESSED,
+    FoundationModel,
+    _render_rationale,
+)
 from repro.model.generation import GREEDY, GenerationConfig
+from repro.model.instructions import (
+    ASSESS_INSTRUCTION,
+    DESCRIBE_INSTRUCTION,
+    DIRECT_ASSESS_INSTRUCTION,
+    HIGHLIGHT_INSTRUCTION,
+)
 from repro.model.session import DialogueSession
 from repro.nn.tensorops import sigmoid
 from repro.observability.tracing import span
@@ -123,9 +147,8 @@ class StressChainPipeline:
             The clip to assess.
         explain:
             ``False`` skips the Highlight stage: the result carries an
-            empty rationale (and no I3 dialogue turn) in exchange for
-            roughly a third less model work.  Label and probability
-            are unchanged.
+            empty rationale and no I3 dialogue turn.  Label and
+            probability are unchanged.
         deadline_ms:
             Best-effort compute budget, checked at stage boundaries:
             if the budget is exhausted before the result is complete,
@@ -136,59 +159,8 @@ class StressChainPipeline:
         """
         deadline = (Deadline.after_ms(deadline_ms)
                     if deadline_ms is not None else None)
-        start = time.perf_counter()
-        session = DialogueSession()
-
-        description: FacialDescription | None = None
-        if self.use_chain:
-            with span("chain.describe", refine=self.test_time_refine):
-                description = self.model.describe(
-                    video, GREEDY, session=session
-                )
-                if self.test_time_refine:
-                    description = self._refine_description(video, description)
-            _check_deadline(deadline, "Describe")
-
-        with span("chain.assess", use_chain=self.use_chain):
-            logit = self.model.assess_logit(video, description)
-            if self.retriever is not None and description is not None:
-                examples = self.retriever.retrieve(video, description)
-                shift = incontext_logit_shift(description, examples)
-                # In-context evidence sways the model where it is unsure;
-                # a confident assessment barely moves (the gating mirrors
-                # how prompt examples influence a real LFM's decision).
-                confidence = abs(
-                    2.0 * float(sigmoid(np.array(logit))[()]) - 1.0)
-                logit += shift * (1.0 - confidence)
-            prob = float(sigmoid(np.array(logit))[()])
-            label = STRESSED if logit > 0 else UNSTRESSED
-            session.record(
-                _assess_instruction(self.use_chain),
-                "Stressed" if label == STRESSED else "Unstressed",
-            )
-
-        rationale = Rationale(())
-        if explain:
-            _check_deadline(deadline, "Assess")
-            with span("chain.highlight"):
-                highlight_desc = description
-                if highlight_desc is None:
-                    # w/o Chain still answers I3; it reads its greedy AU
-                    # estimate off the video when asked to point at cues.
-                    highlight_desc = self.model.describe(video, GREEDY)
-                rationale = Rationale(self.model.highlight(
-                    video, highlight_desc, label, GREEDY, session=session,
-                ))
-
-        elapsed = time.perf_counter() - start
-        return ChainResult(
-            description=description,
-            label=label,
-            prob_stressed=prob,
-            rationale=rationale,
-            session=session,
-            elapsed_seconds=elapsed,
-        )
+        return run_stages(self, video, explain=explain,
+                          deadline=deadline).materialize()
 
     def predict_many(self, videos: list[Video], *, batch_size: int = 32,
                      caches=None) -> list[ChainResult]:
@@ -225,21 +197,6 @@ class StressChainPipeline:
                     raise outcome
                 results.append(outcome)
         return results
-
-    # -- deprecated aliases (kept for one release cycle) ----------------
-
-    def run(self, video: Video) -> ChainResult:
-        """Deprecated alias of :meth:`predict`."""
-        warn_deprecated("StressChainPipeline.run",
-                        "StressChainPipeline.predict")
-        return self.predict(video)
-
-    def run_many(self, videos: list[Video], batch_size: int = 32,
-                 caches=None) -> list[ChainResult]:
-        """Deprecated alias of :meth:`predict_many`."""
-        warn_deprecated("StressChainPipeline.run_many",
-                        "StressChainPipeline.predict_many")
-        return self.predict_many(videos, batch_size=batch_size, caches=caches)
 
     # ------------------------------------------------------------------
 
@@ -284,17 +241,189 @@ class StressChainPipeline:
 StressPipeline = StressChainPipeline
 
 
+# ----------------------------------------------------------------------
+# The staged chain
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class DescribeEntry:
+    """The Describe stage's greedy draw and its rendered text (the
+    response the I1 dialogue turn records)."""
+
+    description: FacialDescription
+    rendered: str
+
+
+@dataclass(frozen=True, slots=True)
+class AssessEntry:
+    """The Assess stage's final (post in-context shift) logit and the
+    prob/label floats derived from it."""
+
+    logit: float
+    prob: float
+    label: int
+
+
+@dataclass(frozen=True, slots=True)
+class HighlightEntry:
+    """The Highlight stage's rationale and its rendered text (``None``
+    when the description names no action unit: the model then answers
+    without recording an I3 turn)."""
+
+    rationale: tuple[int, ...]
+    rendered: str | None
+
+
+@dataclass(frozen=True, slots=True)
+class ChainCore:
+    """The request-independent core of one chain run: everything a
+    :class:`ChainResult` needs except its per-request session."""
+
+    use_chain: bool
+    description: FacialDescription | None
+    greedy_render: str | None
+    label: int
+    prob: float
+    rationale: tuple[int, ...]
+    rationale_render: str | None
+    elapsed_seconds: float
+
+    def materialize(self, degraded: bool = False) -> ChainResult:
+        """A fresh :class:`ChainResult` whose session records the
+        chain's turns in serial order -- one per request, also for
+        requests that share a core."""
+        session = DialogueSession()
+        if self.use_chain:
+            session.record(DESCRIBE_INSTRUCTION, self.greedy_render)
+        session.record(
+            ASSESS_INSTRUCTION if self.use_chain else DIRECT_ASSESS_INSTRUCTION,
+            "Stressed" if self.label == STRESSED else "Unstressed",
+        )
+        if self.rationale_render is not None:
+            session.record(HIGHLIGHT_INSTRUCTION, self.rationale_render)
+        return ChainResult(
+            description=self.description,
+            label=self.label,
+            prob_stressed=self.prob,
+            rationale=Rationale(self.rationale),
+            session=session,
+            elapsed_seconds=self.elapsed_seconds,
+            degraded=degraded,
+        )
+
+
+class _ComputeAlways:
+    """Serial ``predict``'s stage store: every stage computes, and
+    nothing is hashed, looked up or kept."""
+
+    @staticmethod
+    def fetch(stage: str, key: Any, compute: Callable[[], Any]) -> Any:
+        return compute()
+
+
+_COMPUTE_ALWAYS = _ComputeAlways()
+
+
+def run_stages(pipeline: StressChainPipeline, video: Video,
+               store=_COMPUTE_ALWAYS, key: str | None = None, *,
+               explain: bool = True,
+               deadline: Deadline | None = None) -> ChainCore:
+    """Run the Describe -> Assess -> Highlight chain on one video.
+
+    Each stage gets its value from ``store.fetch(stage, stage_key,
+    compute)``, where ``stage`` names the stage cache (``"describe"``,
+    ``"assess"`` or ``"highlight"``) and ``stage_key`` extends ``key``,
+    the video's content key, with the stage's inputs.  The default
+    store computes every stage and needs no key.  The trunk embedding
+    is computed at most once, on the first stage that computes, and
+    handed to the model's video-level entry points.
+
+    ``explain=False`` skips Highlight; ``deadline`` is checked at stage
+    boundaries (see :meth:`StressChainPipeline.predict`).
+    """
+    model = pipeline.model
+    start = time.perf_counter()
+    embed = None
+
+    def get_embed():
+        nonlocal embed
+        if embed is None:
+            embed = model.embed_video(video)
+        return embed
+
+    def greedy_describe() -> DescribeEntry:
+        def compute() -> DescribeEntry:
+            description = model.describe(video, GREEDY, embed=get_embed())
+            return DescribeEntry(description, description.render())
+        return store.fetch("describe", key, compute)
+
+    description: FacialDescription | None = None
+    greedy_render: str | None = None
+    if pipeline.use_chain:
+        with span("chain.describe", refine=pipeline.test_time_refine):
+            greedy = greedy_describe()
+            description, greedy_render = greedy.description, greedy.rendered
+            if pipeline.test_time_refine:
+                description = store.fetch(
+                    "describe", (key, "refined"),
+                    lambda: pipeline._refine_description(
+                        video, greedy.description))
+        _check_deadline(deadline, "Describe")
+
+    def compute_assess() -> AssessEntry:
+        logit = model.assess_logit(video, description, embed=get_embed())
+        if pipeline.retriever is not None and description is not None:
+            examples = pipeline.retriever.retrieve(video, description)
+            shift = incontext_logit_shift(description, examples)
+            # In-context evidence sways the model where it is unsure;
+            # a confident assessment barely moves (the gating mirrors
+            # how prompt examples influence a real LFM's decision).
+            confidence = abs(2.0 * float(sigmoid(np.array(logit))[()]) - 1.0)
+            logit += shift * (1.0 - confidence)
+        return AssessEntry(logit, float(sigmoid(np.array(logit))[()]),
+                           STRESSED if logit > 0 else UNSTRESSED)
+
+    with span("chain.assess", use_chain=pipeline.use_chain):
+        assessed = store.fetch(
+            "assess",
+            (key, description.au_ids if description is not None else None),
+            compute_assess)
+
+    highlight = HighlightEntry((), None)
+    if explain:
+        _check_deadline(deadline, "Assess")
+        with span("chain.highlight"):
+            # w/o Chain still answers I3; it reads its greedy AU
+            # estimate off the video when asked to point at cues.
+            cues = (description if description is not None
+                    else greedy_describe().description)
+
+            def compute_highlight() -> HighlightEntry:
+                rationale = model.highlight(video, cues, assessed.label,
+                                            GREEDY, embed=get_embed())
+                return HighlightEntry(
+                    rationale,
+                    _render_rationale(rationale) if cues.au_ids else None)
+
+            highlight = store.fetch(
+                "highlight", (key, cues.au_ids, assessed.label),
+                compute_highlight)
+
+    return ChainCore(
+        use_chain=pipeline.use_chain,
+        description=description,
+        greedy_render=greedy_render,
+        label=assessed.label,
+        prob=assessed.prob,
+        rationale=highlight.rationale,
+        rationale_render=highlight.rendered,
+        elapsed_seconds=time.perf_counter() - start,
+    )
+
+
 def _check_deadline(deadline: Deadline | None, stage: str) -> None:
     if deadline is not None and deadline.expired():
         raise DeadlineExceededError(
             f"predict deadline expired after the {stage} stage; "
             "no further model work was spent")
-
-
-def _assess_instruction(use_chain: bool):
-    from repro.model.instructions import (
-        ASSESS_INSTRUCTION,
-        DIRECT_ASSESS_INSTRUCTION,
-    )
-
-    return ASSESS_INSTRUCTION if use_chain else DIRECT_ASSESS_INSTRUCTION

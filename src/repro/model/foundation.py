@@ -150,10 +150,10 @@ class FoundationModel(Module):
 
         This is the shared state of the whole reasoning chain: the
         Describe, Assess, and Highlight heads all read the same
-        embedding, so computing it once per request (the serving
-        executor does) saves two of the three trunk passes a serial
-        :meth:`~repro.cot.chain.StressChainPipeline.predict` performs
-        -- bitwise-identically, because the per-head math is unchanged.
+        embedding, so the chain computes it once per request and hands
+        it to each head's video-level entry point as ``embed=`` (the
+        per-head math is unchanged, so the result is bitwise the same
+        as three separate trunk passes).
         """
         # The model.forward fault site: one check per trunk pass, the
         # unit of work every served request spends.
@@ -170,15 +170,25 @@ class FoundationModel(Module):
         """Per-AU description logits from a precomputed embedding."""
         return self.au_head.forward(embed)[0]
 
-    def au_logits(self, video: Video) -> np.ndarray:
-        """Per-AU description logits, shape (12,)."""
-        return self.au_logits_from_embed(self.embed_video(video))
+    def au_logits(self, video: Video, *,
+                  embed: np.ndarray | None = None) -> np.ndarray:
+        """Per-AU description logits, shape (12,).
+
+        Like every video-level head entry point, it takes ``embed=``,
+        the video's :meth:`embed_video`, when the caller already has
+        it; otherwise it embeds the video itself.
+        """
+        if embed is None:
+            embed = self.embed_video(video)
+        return self.au_logits_from_embed(embed)
 
     def describe(self, video: Video, config: GenerationConfig | None = None,
-                 session: DialogueSession | None = None) -> FacialDescription:
+                 session: DialogueSession | None = None, *,
+                 embed: np.ndarray | None = None) -> FacialDescription:
         """Sample a facial-action description (the Describe step)."""
         config = config or GenerationConfig()
-        outcome = sample_bernoulli_set(self.au_logits(video), config)
+        outcome = sample_bernoulli_set(self.au_logits(video, embed=embed),
+                                       config)
         description = FacialDescription.from_vector(outcome)
         if session is not None:
             session.record(DESCRIBE_INSTRUCTION, description.render())
@@ -256,11 +266,13 @@ class FoundationModel(Module):
         )
 
     def assess_logit(self, video: Video,
-                     description: FacialDescription | None) -> float:
+                     description: FacialDescription | None, *,
+                     embed: np.ndarray | None = None) -> float:
         """Raw stress logit; ``description=None`` is the paper's
         "w/o Chain" direct query."""
-        return self.assess_logit_from_embed(self.embed_video(video),
-                                            description)
+        if embed is None:
+            embed = self.embed_video(video)
+        return self.assess_logit_from_embed(embed, description)
 
     def au_logits_from_frames(self, expressive: np.ndarray,
                               neutral: np.ndarray) -> np.ndarray:
@@ -453,15 +465,17 @@ class FoundationModel(Module):
                   assessment: int,
                   config: GenerationConfig | None = None,
                   top_k: int | None = None,
-                  session: DialogueSession | None = None) -> tuple[int, ...]:
+                  session: DialogueSession | None = None, *,
+                  embed: np.ndarray | None = None) -> tuple[int, ...]:
         """The Highlight step: an importance-ordered tuple of AU ids.
 
         ``assessment`` is accepted for interface fidelity with
         ``p_F(R | A, E, V, I3)``; the score pathway conditions on the
         same video evidence that produced the assessment.
         """
-        return self.highlight_from_embed(self.embed_video(video),
-                                         description, assessment,
+        if embed is None:
+            embed = self.embed_video(video)
+        return self.highlight_from_embed(embed, description, assessment,
                                          config=config, top_k=top_k,
                                          session=session)
 

@@ -9,7 +9,7 @@ Public surface:
 - :class:`MicroBatcher` -- the reusable batching primitive;
 - :class:`ChainBatchExecutor` -- batch execution with the bitwise
   serial-equivalence guarantee (also behind
-  :meth:`StressChainPipeline.run_many`);
+  :meth:`StressChainPipeline.predict_many`);
 - :class:`StageCaches` / :class:`LRUCache` and
   :func:`video_content_hash` -- the content-addressed caches;
 - :class:`ServiceStats` / :class:`ServiceStatsSnapshot`;

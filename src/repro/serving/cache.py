@@ -5,26 +5,29 @@ many clients, and the ``use_chain``/retriever pipeline variants share
 their Describe work -- so the service keeps one bounded LRU cache per
 chain stage, keyed by a *content hash* of the video:
 
-- the **describe cache** stores the greedy description (plus its
+- the **describe cache** stores the greedy description with its
   rendered text and, when test-time refinement is on, the refined
-  description);
+  description;
 - the **assess cache** stores the final assessment ``(logit, prob,
   label)`` per ``(content, description)`` pair;
 - the **highlight cache** stores the rationale ordering and its
   rendered text per ``(content, description, label)``.
 
-Every cached value was produced by exactly the serial
-:meth:`~repro.cot.chain.StressChainPipeline.predict` operations, and
-all three steps are deterministic under greedy decoding, so replaying
-a cached value is bitwise-identical to recomputing it.
+:class:`StageCaches` is the stage store the chain
+(:func:`~repro.cot.chain.run_stages`) consults before each stage
+computes, and :class:`CacheOnlyView` is the circuit breaker's
+degraded-mode store over the same caches.  Every cached value was
+produced by that one chain function, and all three steps are
+deterministic under greedy decoding, so replaying a cached value is
+bitwise-identical to recomputing it.
 
 The content hash digests the :class:`~repro.video.frame.VideoSpec`
 rather than rendered pixels: rendering is fully deterministic given
-the spec (including its render seed), so the spec *is* the content in
-latent form, and hashing ~1 KB of latent state instead of ~150 KB of
-pixels keeps the cache-hit path far cheaper than a model call.  Keys
-are memoized per ``(video_id, render seed)``, the same globally-unique
-pair the model's feature cache relies on.
+the spec (including its id and render seed), so the spec *is* the
+content in latent form, and hashing ~1 KB of latent state instead of
+~150 KB of pixels keeps the cache-hit path far cheaper than a model
+call.  Keys are memoized per ``(video_id, render seed)``, the same
+globally-unique pair the model's feature cache relies on.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import ConfigError
-from repro.facs.descriptions import FacialDescription
+from repro.errors import CircuitOpenError, ConfigError
+from repro.observability import profiling
 from repro.reliability.faults import fault_point
 from repro.video.frame import Video
 
@@ -124,14 +127,19 @@ class LRUCache:
 def video_content_hash(video: Video) -> str:
     """Hex digest of everything that determines the video's pixels.
 
-    Digests the latent spec -- per-frame AU intensities, identity
-    embedding, capture parameters, render seed -- plus the renderer's
-    frame size.  Rendering is deterministic given exactly these inputs
-    (see :class:`~repro.video.frame.Video`), so equal digests imply
-    pixel-identical clips.
+    Digests the latent spec -- video id, per-frame AU intensities,
+    identity embedding, capture parameters, render seed -- plus the
+    renderer's frame size.  Rendering is deterministic given exactly
+    these inputs (see :class:`~repro.video.frame.Video`), so clips
+    with equal digests render the same pixels.  The id is part of the
+    content: the renderer seeds each frame's noise by it, so two specs
+    that differ only in id are different clips.
     """
     spec = video.spec
     digest = hashlib.sha1()
+    video_id = spec.video_id.encode()
+    digest.update(struct.pack("<q", len(video_id)))
+    digest.update(video_id)
     au = np.ascontiguousarray(spec.au_intensities, dtype=np.float64)
     digest.update(struct.pack("<qq", *au.shape))
     digest.update(au.tobytes())
@@ -145,43 +153,9 @@ def video_content_hash(video: Video) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
-class DescribeEntry:
-    """Cached output of the Describe stage for one video content.
-
-    ``description`` is the greedy draw the serial path records in the
-    dialogue session; ``rendered`` is its text.  ``refined`` carries
-    the test-time-refined description when the pipeline refines (the
-    refinement draw is seeded by ``video_id``, so refined entries are
-    cached under a key that includes it).
-    """
-
-    description: FacialDescription
-    rendered: str
-    refined: FacialDescription | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class AssessEntry:
-    """Cached output of the Assess stage: the final (post in-context
-    shift) logit and the prob/label floats derived from it."""
-
-    logit: float
-    prob: float
-    label: int
-
-
-@dataclass(frozen=True, slots=True)
-class HighlightEntry:
-    """Cached output of the Highlight stage."""
-
-    rationale: tuple[int, ...]
-    rendered: str | None
-
-
 class StageCaches:
-    """The per-stage caches one service (or ``run_many`` call) owns,
-    plus the content-key memo that makes repeated lookups cheap."""
+    """The per-stage caches one service (or ``predict_many`` call)
+    owns, plus the content-key memo that makes repeated lookups cheap."""
 
     def __init__(self, describe_capacity: int = 2048,
                  assess_capacity: int = 4096,
@@ -206,6 +180,19 @@ class StageCaches:
             self._key_memo.put(memo_key, key)
         return key
 
+    def fetch(self, stage: str, key: Any, compute: Callable[[], Any]) -> Any:
+        """The ``stage`` cache's value for ``key``; on a miss,
+        ``compute()`` it and keep it."""
+        cache = getattr(self, stage)
+        value = cache.get(key)
+        if value is None:
+            profiling.count(profiling.STAGE_CACHE_MISS)
+            value = compute()
+            cache.put(key, value)
+        else:
+            profiling.count(profiling.STAGE_CACHE_HIT)
+        return value
+
     def clear(self) -> None:
         self.describe.clear()
         self.assess.clear()
@@ -218,3 +205,18 @@ class StageCaches:
             "assess": self.assess.stats(),
             "highlight": self.highlight.stats(),
         }
+
+
+class CacheOnlyView:
+    """The circuit breaker's degraded-mode stage store: stage values
+    come from ``caches`` or not at all -- a miss raises
+    :class:`~repro.errors.CircuitOpenError` instead of computing."""
+
+    def __init__(self, caches: StageCaches):
+        self.caches = caches
+
+    def fetch(self, stage: str, key: Any, compute: Callable[[], Any]) -> Any:
+        value = getattr(self.caches, stage).get(key)
+        if value is None:
+            raise CircuitOpenError(f"{stage} stage output is not cached")
+        return value

@@ -1,89 +1,44 @@
 """Batched execution of the reasoning chain.
 
 :class:`ChainBatchExecutor` turns a batch of videos into one
-:class:`~repro.cot.chain.ChainResult` per request while guaranteeing
-**bitwise equivalence** with serial
-:meth:`~repro.cot.chain.StressChainPipeline.predict`.  The guarantee
-is structural, not numerical luck:
+:class:`~repro.cot.chain.ChainResult` per request.  It owns only the
+batch mechanics:
 
-- Per-request math runs through the model's ``*_from_embed`` entry
-  points, which perform exactly the serial path's single-row matmuls
-  (stacked GEMMs are *not* row-wise bitwise-reproducible under BLAS,
-  so the executor never routes request math through them; the
-  ``*_from_frames_batch`` engine remains the explainers' workhorse).
-- The shared trunk embedding is computed once per unique video and
-  reused by the Describe/Assess/Highlight heads -- the serial path
-  computes the identical value three times.
-- Duplicate requests in one batch are computed once and fanned out;
-  across batches the per-stage LRU caches replay stage outputs that
-  greedy decoding makes deterministic.
+- requests are grouped by content key, so duplicate contents in one
+  batch are computed once and fanned out;
+- each unique content runs the chain's one implementation,
+  :func:`~repro.cot.chain.run_stages`, with the per-stage LRU caches
+  as its stage store, so stage outputs replay across batches;
+- every request gets its *own* :class:`~repro.model.session.DialogueSession`
+  from :meth:`~repro.cot.chain.ChainCore.materialize`, so concurrent
+  requests can never interleave dialogue state (the mutable-state
+  hazard DESIGN.md section 10 discusses).
 
-Every request gets its *own* :class:`DialogueSession`, rebuilt from
-the stage outputs in exactly the serial recording order, so concurrent
-requests can never interleave dialogue state (the mutable-state hazard
-DESIGN.md section 10 discusses).
+Responses are bitwise-identical to serial
+:meth:`~repro.cot.chain.StressChainPipeline.predict` because both run
+the same function; only the stage store differs.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.cot.rationale import Rationale
-from repro.facs.descriptions import FacialDescription
-from repro.model.foundation import STRESSED, UNSTRESSED
-from repro.model.generation import GREEDY, sample_bernoulli_set
-from repro.model.instructions import (
-    DESCRIBE_INSTRUCTION,
-    HIGHLIGHT_INSTRUCTION,
-)
-from repro.model.session import DialogueSession
-from repro.nn.tensorops import sigmoid
-from repro.observability import profiling
+from repro.cot.chain import StressChainPipeline, run_stages
 from repro.observability.tracing import span
 from repro.reliability.faults import fault_point
-from repro.serving.cache import (
-    AssessEntry,
-    DescribeEntry,
-    HighlightEntry,
-    StageCaches,
-)
+from repro.serving.cache import StageCaches
 from repro.video.frame import Video
-
-
-@dataclass(frozen=True, slots=True)
-class _ChainCore:
-    """The request-independent core of one chain run: everything a
-    :class:`ChainResult` needs except the per-request session object
-    and timing."""
-
-    description: FacialDescription | None
-    greedy_render: str | None
-    label: int
-    prob: float
-    rationale: tuple[int, ...]
-    rationale_render: str | None
-    elapsed_seconds: float
 
 
 class ChainBatchExecutor:
     """Runs chain requests in batches against one pipeline.
 
     The executor is written for single-threaded use (the micro-batcher
-    worker, or an offline ``run_many`` loop); the caches it reads are
-    individually thread-safe, but model access is expected to be
+    worker, or an offline ``predict_many`` loop); the caches it reads
+    are individually thread-safe, but model access is expected to be
     serialized by the caller.
     """
 
     def __init__(self, pipeline, caches: StageCaches | None = None):
-        from repro.cot.chain import StressChainPipeline
-
-        if not isinstance(pipeline, StressChainPipeline):
-            raise TypeError(
-                f"expected a StressChainPipeline, got {type(pipeline).__name__}")
-        self.pipeline = pipeline
+        self.replace_pipeline(pipeline)
         self.caches = caches if caches is not None else StageCaches()
 
     def replace_pipeline(self, pipeline) -> None:
@@ -94,14 +49,10 @@ class ChainBatchExecutor:
         the stage caches -- cached stage outputs are only valid for
         the weights that produced them.
         """
-        from repro.cot.chain import StressChainPipeline
-
         if not isinstance(pipeline, StressChainPipeline):
             raise TypeError(
                 f"expected a StressChainPipeline, got {type(pipeline).__name__}")
         self.pipeline = pipeline
-
-    # ------------------------------------------------------------------
 
     def run_batch(self, videos: list[Video]) -> tuple[list[object], int]:
         """Process one batch.
@@ -130,209 +81,12 @@ class ChainBatchExecutor:
                     # requests of that group (a transient, retryable
                     # error), never the whole batch.
                     fault_point("serve.execute")
-                    core = self._run_core(videos[indices[0]], key)
+                    core = run_stages(self.pipeline, videos[indices[0]],
+                                      self.caches, key)
                 except Exception as exc:  # noqa: BLE001 - per-request failure
                     for i in indices:
                         outcomes[i] = exc
                     continue
                 for i in indices:
-                    outcomes[i] = self._materialize(core)
+                    outcomes[i] = core.materialize()
         return outcomes, len(groups)
-
-    def run_cached(self, video: Video):
-        """Cache-only chain run: a :class:`ChainResult` assembled from
-        the stage caches without touching the model, or ``None`` when
-        any stage misses.
-
-        This is the circuit breaker's degraded mode: while the breaker
-        is open the service can still answer requests whose Describe,
-        Assess, *and* Highlight outputs are all cached (they were each
-        produced by the exact serial math, so the values are the
-        bitwise-normal response), flagged ``degraded=True``.  Only
-        supported for the plain pipeline configuration -- test-time
-        refinement and retrieval key their caches on per-request state,
-        so those pipelines fail fast while open instead.
-        """
-        pipeline = self.pipeline
-        if pipeline.test_time_refine or pipeline.retriever is not None:
-            return None
-        start = time.perf_counter()
-        key = self.caches.content_key(video)
-        description = None
-        greedy_render = None
-        if pipeline.use_chain:
-            describe = self.caches.describe.get(key)
-            if describe is None:
-                return None
-            description = describe.description
-            greedy_render = describe.rendered
-        assess = self.caches.assess.get(
-            (key, description.au_ids if description is not None else None,
-             None))
-        if assess is None:
-            return None
-        highlight_desc = description
-        if highlight_desc is None:
-            describe = self.caches.describe.get(key)
-            if describe is None:
-                return None
-            highlight_desc = describe.description
-        highlight = self.caches.highlight.get(
-            (key, highlight_desc.au_ids, assess.label))
-        if highlight is None:
-            return None
-        core = _ChainCore(
-            description=description,
-            greedy_render=greedy_render,
-            label=assess.label,
-            prob=assess.prob,
-            rationale=highlight.rationale,
-            rationale_render=highlight.rendered,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-        return self._materialize(core, degraded=True)
-
-    # ------------------------------------------------------------------
-
-    def _run_core(self, video: Video, key: str) -> _ChainCore:
-        """One chain run, staged through the caches.
-
-        Mirrors :meth:`StressChainPipeline.predict` line for line; any
-        edit there must be reflected here (the serving equivalence
-        suite enforces this).
-        """
-        pipeline = self.pipeline
-        model = pipeline.model
-        caches = self.caches
-        start = time.perf_counter()
-
-        embed: np.ndarray | None = None
-
-        def get_embed() -> np.ndarray:
-            nonlocal embed
-            if embed is None:
-                embed = model.embed_video(video)
-            return embed
-
-        def get_describe() -> DescribeEntry:
-            entry = caches.describe.get(key)
-            if entry is None:
-                profiling.count(profiling.STAGE_CACHE_MISS)
-                logits = model.au_logits_from_embed(get_embed())
-                description = FacialDescription.from_vector(
-                    sample_bernoulli_set(logits, GREEDY))
-                entry = DescribeEntry(description=description,
-                                      rendered=description.render())
-                caches.describe.put(key, entry)
-            else:
-                profiling.count(profiling.STAGE_CACHE_HIT)
-            return entry
-
-        # --- Describe ------------------------------------------------
-        description: FacialDescription | None = None
-        greedy_render: str | None = None
-        if pipeline.use_chain:
-            with span("chain.describe", refine=pipeline.test_time_refine):
-                entry = get_describe()
-                greedy_render = entry.rendered
-                description = entry.description
-                if pipeline.test_time_refine:
-                    # The refinement redraw is seeded by video_id, so its
-                    # cache key must carry the id alongside the content.
-                    refine_key = (key, video.video_id, "refined")
-                    refined = caches.describe.get(refine_key)
-                    if refined is None:
-                        refined = pipeline._refine_description(
-                            video, description)
-                        caches.describe.put(refine_key, refined)
-                    description = refined
-
-        # --- Assess --------------------------------------------------
-        # Retrieval derives its sampling seed from video_id, so the
-        # assess key includes the id whenever a retriever is attached.
-        assess_key = (
-            key,
-            description.au_ids if description is not None else None,
-            video.video_id if pipeline.retriever is not None else None,
-        )
-        with span("chain.assess", use_chain=pipeline.use_chain):
-            assess = caches.assess.get(assess_key)
-            if assess is None:
-                profiling.count(profiling.STAGE_CACHE_MISS)
-                logit = model.assess_logit_from_embed(get_embed(), description)
-                if pipeline.retriever is not None and description is not None:
-                    from repro.cot.incontext import incontext_logit_shift
-
-                    examples = pipeline.retriever.retrieve(video, description)
-                    shift = incontext_logit_shift(description, examples)
-                    confidence = abs(
-                        2.0 * float(sigmoid(np.array(logit))[()]) - 1.0)
-                    logit += shift * (1.0 - confidence)
-                prob = float(sigmoid(np.array(logit))[()])
-                label = STRESSED if logit > 0 else UNSTRESSED
-                assess = AssessEntry(logit=logit, prob=prob, label=label)
-                caches.assess.put(assess_key, assess)
-            else:
-                profiling.count(profiling.STAGE_CACHE_HIT)
-
-        # --- Highlight -----------------------------------------------
-        with span("chain.highlight"):
-            highlight_desc = description
-            if highlight_desc is None:
-                highlight_desc = get_describe().description
-            highlight_key = (key, highlight_desc.au_ids, assess.label)
-            highlight = caches.highlight.get(highlight_key)
-            if highlight is None:
-                profiling.count(profiling.STAGE_CACHE_MISS)
-                rationale = model.highlight_from_embed(
-                    get_embed(), highlight_desc, assess.label, GREEDY)
-                rendered = (_render_rationale(rationale)
-                            if highlight_desc.au_ids else None)
-                highlight = HighlightEntry(rationale=rationale,
-                                           rendered=rendered)
-                caches.highlight.put(highlight_key, highlight)
-            else:
-                profiling.count(profiling.STAGE_CACHE_HIT)
-
-        return _ChainCore(
-            description=description,
-            greedy_render=greedy_render,
-            label=assess.label,
-            prob=assess.prob,
-            rationale=highlight.rationale,
-            rationale_render=highlight.rendered,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-
-    def _materialize(self, core: _ChainCore, degraded: bool = False):
-        """A fresh :class:`ChainResult` (with its own session) from a
-        chain core -- one per request, also for deduplicated ones."""
-        from repro.cot.chain import ChainResult, _assess_instruction
-
-        pipeline = self.pipeline
-        session = DialogueSession()
-        if pipeline.use_chain:
-            session.record(DESCRIBE_INSTRUCTION, core.greedy_render)
-        session.record(
-            _assess_instruction(pipeline.use_chain),
-            "Stressed" if core.label == STRESSED else "Unstressed",
-        )
-        if core.rationale_render is not None:
-            # The serial highlight step records only when the
-            # description names at least one action unit.
-            session.record(HIGHLIGHT_INSTRUCTION, core.rationale_render)
-        return ChainResult(
-            description=core.description,
-            label=core.label,
-            prob_stressed=core.prob,
-            rationale=Rationale(core.rationale),
-            session=session,
-            elapsed_seconds=core.elapsed_seconds,
-            degraded=degraded,
-        )
-
-
-def _render_rationale(rationale: tuple[int, ...]) -> str:
-    from repro.model.foundation import _render_rationale as render
-
-    return render(rationale)

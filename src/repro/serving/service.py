@@ -51,13 +51,14 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.cot.chain import run_stages
 from repro.errors import CircuitOpenError, ConfigError
 from repro.observability.metrics import global_metrics
 from repro.reliability.breaker import CLOSED, BreakerConfig, CircuitBreaker
 from repro.reliability.deadlines import Deadline
 from repro.reliability.retry import RetryPolicy, is_retryable
 from repro.serving.batcher import MicroBatcher
-from repro.serving.cache import StageCaches
+from repro.serving.cache import CacheOnlyView, StageCaches
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.stats import ServiceStats, ServiceStatsSnapshot
 from repro.video.frame import Video
@@ -269,23 +270,31 @@ class StressService:
         return outcomes, unique
 
     def _degraded_outcomes(self, videos: list[Video]) -> list[object]:
-        """Breaker-open answers: cache-only hits when degraded mode is
-        on, :class:`CircuitOpenError` otherwise."""
+        """Breaker-open answers: with degraded mode on, the chain runs
+        over a cache-only view of the stage caches, so a fully cached
+        request gets its normal (bitwise) answer flagged ``degraded``;
+        every other request gets :class:`CircuitOpenError`.  Refine and
+        retriever pipelines always fail fast while the breaker is open."""
+        pipeline = self.executor.pipeline
+        cache_only = (self.config.degraded_mode
+                      and not pipeline.test_time_refine
+                      and pipeline.retriever is None)
+        store = CacheOnlyView(self.caches)
         outcomes: list[object] = []
         for video in videos:
-            result = None
-            if self.config.degraded_mode:
+            if cache_only:
                 try:
-                    result = self.executor.run_cached(video)
-                except Exception:  # noqa: BLE001 - cache fault -> miss
-                    result = None
-            if result is not None:
-                self._stats.record_degraded()
-                outcomes.append(result)
-            else:
-                outcomes.append(CircuitOpenError(
-                    "circuit breaker is open and the request is not "
-                    "fully cached; retry after the breaker's open window"))
+                    core = run_stages(pipeline, video, store,
+                                      self.caches.content_key(video))
+                except Exception:  # noqa: BLE001 - a miss or a cache fault
+                    pass
+                else:
+                    self._stats.record_degraded()
+                    outcomes.append(core.materialize(degraded=True))
+                    continue
+            outcomes.append(CircuitOpenError(
+                "circuit breaker is open and the request is not fully "
+                "cached; retry after the breaker's open window"))
         return outcomes
 
 

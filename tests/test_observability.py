@@ -251,10 +251,11 @@ class TestTrainingAndChainSpans:
         # Stage spans nest under the root training span.
         by_name = {r["name"]: r for r in exporter.records}
         assert by_name["train.describe_tuning"]["parent"] == "train.fit"
-        # Profiling hooks attributed model work to the chain spans.
+        # Profiling hooks attributed model work to the chain spans; the
+        # one trunk embedding lands on the first stage, Describe.
         assess = by_name["chain.assess"]
         assert assess["counters"][profiling.GEMM] >= 1
-        assert assess["counters"][profiling.EMBED] >= 1
+        assert by_name["chain.describe"]["counters"][profiling.EMBED] == 1
 
 
 class TestProfilingHooks:
@@ -271,3 +272,17 @@ class TestProfilingHooks:
     def test_count_outside_any_span_is_dropped(self, exporter):
         profiling.count(profiling.GEMM)
         assert exporter.records == []
+
+    @pytest.mark.parametrize("use_chain", [True, False])
+    def test_serial_predict_embeds_once(self, exporter, sample_video,
+                                        use_chain):
+        """Describe, Assess and Highlight share one trunk embedding:
+        each serial predict call embeds its video exactly once."""
+        pipeline = StressChainPipeline(
+            FoundationModel(make_rng(3, "embed-once")), use_chain=use_chain)
+        for __ in range(2):
+            exporter.records.clear()
+            pipeline.predict(sample_video)
+            embeds = sum(record.get("counters", {}).get(profiling.EMBED, 0)
+                         for record in exporter.records)
+            assert embeds == 1

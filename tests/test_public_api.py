@@ -8,10 +8,8 @@ field-level diff, so the public surface only changes deliberately::
 
 then review the fixture diff like any other code change.
 
-The suite also pins the deprecation contract: ``run``/``run_many`` are
-thin aliases of ``predict``/``predict_many`` that warn exactly once per
-process and return identical results, and the error hierarchy roots at
-:class:`ReproError`.
+The suite also pins the ``StressPipeline`` facade and that the error
+hierarchy roots at :class:`ReproError`.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro import deprecation
 from repro.cot.chain import StressChainPipeline, StressPipeline
 from repro.errors import ReproError
 from repro.model.foundation import FoundationModel
@@ -137,7 +134,7 @@ class TestErrorHierarchy:
 
 
 # ----------------------------------------------------------------------
-# Facade and deprecated aliases
+# Facade
 # ----------------------------------------------------------------------
 
 
@@ -160,51 +157,6 @@ class TestFacade:
         assert bare.prob_stressed == full.prob_stressed
         assert tuple(bare.rationale) == ()
         assert len(bare.session) < len(full.session)
-
-
-class TestDeprecatedAliases:
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        deprecation.reset_warned()
-        yield
-        deprecation.reset_warned()
-
-    def test_run_warns_and_matches_predict(self, fresh_model):
-        pipeline = StressPipeline(fresh_model)
-        video = _video()
-        want = pipeline.predict(video)
-        with pytest.warns(DeprecationWarning, match="use .*predict"):
-            got = pipeline.run(video)
-        assert got.label == want.label
-        assert got.prob_stressed == want.prob_stressed
-        assert tuple(got.rationale) == tuple(want.rationale)
-        assert got.session.transcript() == want.session.transcript()
-
-    def test_run_many_warns_and_matches_predict_many(self, fresh_model):
-        pipeline = StressPipeline(fresh_model)
-        videos = [_video("a"), _video("b")]
-        want = pipeline.predict_many(videos)
-        with pytest.warns(DeprecationWarning, match="run_many"):
-            got = pipeline.run_many(videos)
-        for one, two in zip(got, want):
-            assert one.prob_stressed == two.prob_stressed
-            assert one.session.transcript() == two.session.transcript()
-
-    def test_each_alias_warns_exactly_once_per_process(self, fresh_model):
-        pipeline = StressPipeline(fresh_model)
-        video = _video()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pipeline.run(video)
-            pipeline.run(video)
-            pipeline.run_many([video])
-            pipeline.run_many([video])
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2  # one per alias, not per call
-        messages = sorted(str(w.message) for w in deprecations)
-        assert "run is deprecated" in messages[0]
-        assert "run_many is deprecated" in messages[1]
 
     def test_predict_never_warns(self, fresh_model):
         pipeline = StressPipeline(fresh_model)

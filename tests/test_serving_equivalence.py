@@ -15,6 +15,8 @@ cold and warm caches, duplicate-heavy request mixes, and the
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,18 @@ def _videos(count: int, base_seed: int) -> list[Video]:
             noise_scale=0.02, seed=base_seed * 100 + index,
         )))
     return videos
+
+
+def _with_twins(videos: list[Video]) -> list[Video]:
+    """Each clip followed by its twin: the same spec under another
+    ``video_id``.  The renderer seeds frame noise by id, so twins are
+    different pixels and must never share a cached or deduplicated
+    answer."""
+    out = []
+    for video in videos:
+        twin = Video(replace(video.spec, video_id=f"{video.video_id}-twin"))
+        out.extend((video, twin))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +120,7 @@ def assert_results_identical(served, serial, context: str = "") -> None:
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_served_matches_serial_per_variant(variant, model, pool):
     pipeline = _make_pipeline(variant, model, pool)
-    videos = _videos(5, base_seed=40)
+    videos = _with_twins(_videos(5, base_seed=40))
     serial = [pipeline.predict(video) for video in videos]
     with StressService(pipeline, ServiceConfig(max_wait_ms=0.5)) as service:
         # cold caches, then a warm second pass over the same contents
@@ -153,7 +167,7 @@ def test_sessions_are_per_request(model, pool):
 def test_predict_many_matches_serial(model, pool):
     for variant in VARIANTS:
         pipeline = _make_pipeline(variant, model, pool)
-        videos = _videos(4, base_seed=80)
+        videos = _with_twins(_videos(4, base_seed=80))
         serial = [pipeline.predict(video) for video in videos]
         batched = pipeline.predict_many(videos, batch_size=3)
         assert len(batched) == len(serial)
