@@ -88,13 +88,37 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def sample_au_occurrence(config: SynthesisConfig, subject: SubjectProfile,
-                         behave_stressed: bool,
+def class_logits(config: SynthesisConfig) -> dict[bool, np.ndarray]:
+    """The prior's AU activation logits for each behaviour class, keyed
+    by ``behave_stressed``; computed once per dataset, not per sample."""
+    return {stressed: _logit(config.prior.activation_probs(stressed=stressed))
+            for stressed in (False, True)}
+
+
+def sample_au_occurrence(logits: np.ndarray, subject: SubjectProfile,
                          rng: np.random.Generator) -> np.ndarray:
-    """Binary AU occurrence vector for one clip."""
-    probs = config.prior.activation_probs(stressed=behave_stressed)
-    probs = _sigmoid(_logit(probs) + subject.au_offsets)
+    """Binary AU occurrence vector for one clip, given the behaviour
+    class's prior ``logits`` (see :func:`class_logits`)."""
+    probs = _sigmoid(logits + subject.au_offsets)
     return (rng.random(NUM_AUS) < probs).astype(np.float64)
+
+
+#: ``uniform`` bounds of a silent AU's per-frame residual motion, one
+#: column per AU.
+_RESIDUAL_BOUNDS = np.array([[0.0] * NUM_AUS, [0.12] * NUM_AUS])
+
+#: ``uniform`` bounds of an occurring AU's apex position and bump width,
+#: as fractions of the clip length.
+_APEX_BOUNDS = np.array([[0.2], [0.8]])
+_WIDTH_BOUNDS = np.array([[0.12], [0.35]])
+
+#: ``uniform`` bounds of an occurring AU's peak intensity, normally and
+#: for a stress-indicative AU under stress.
+_PEAK_BOUNDS = np.array([[0.58] * NUM_AUS, [0.92] * NUM_AUS])
+_STRESSED_PEAK_BOUNDS = np.array([[0.74], [1.0]])
+
+#: Offsets of an occurring AU's (apex, width, peak) draws in its block.
+_BUMP_DRAWS = np.arange(3)[:, np.newaxis]
 
 
 def au_intensity_curves(config: SynthesisConfig, subject: SubjectProfile,
@@ -110,25 +134,39 @@ def au_intensity_curves(config: SynthesisConfig, subject: SubjectProfile,
     carry class evidence beyond the binary occurrence pattern -- this
     is the signal that separates vision-based methods from methods
     restricted to per-frame emotion polarity.
+
+    A clip's randomness is one ``rng.uniform(lows, highs)`` call laid
+    out in AU order: each occurring AU takes a block of three draws
+    (apex, width, peak), each silent AU a block of ``num_frames``
+    residuals.  Peaks are clipped to ``[0.55, 1]`` and residuals lie in
+    ``[0, 0.12)``, so every curve lies in ``[0, 1]``.
     """
     num_frames = config.num_frames
-    frames = np.arange(num_frames, dtype=np.float64)
-    curves = np.zeros((num_frames, NUM_AUS))
-    stress_positive = config.prior.stress_log_odds > 0
-    for i in range(NUM_AUS):
-        if occurrence[i] >= 0.5:
-            apex = rng.uniform(0.2, 0.8) * (num_frames - 1)
-            width = rng.uniform(0.12, 0.35) * num_frames
-            low, high = 0.58, 0.92
-            if behave_stressed and stress_positive[i]:
-                low, high = 0.74, 1.0
-            peak = np.clip(
-                rng.uniform(low, high) * subject.expressivity, 0.55, 1.0
-            )
-            curves[:, i] = peak * np.exp(-0.5 * ((frames - apex) / width) ** 2)
-        else:
-            curves[:, i] = rng.uniform(0.0, 0.12, num_frames)
-    return np.clip(curves, 0.0, 1.0)
+    occurring = occurrence >= 0.5
+    sizes = np.where(occurring, 3, num_frames)
+    ends = sizes.cumsum()
+    on = ends[occurring] - 3
+    peak_bounds = _PEAK_BOUNDS
+    if behave_stressed:
+        peak_bounds = np.where(config.prior.stress_log_odds > 0,
+                               _STRESSED_PEAK_BOUNDS, _PEAK_BOUNDS)
+    bounds = _RESIDUAL_BOUNDS.repeat(sizes, axis=1)
+    bounds[:, on] = _APEX_BOUNDS
+    bounds[:, on + 1] = _WIDTH_BOUNDS
+    bounds[:, on + 2] = peak_bounds[:, occurring]
+    draws = rng.uniform(bounds[0], bounds[1])
+
+    apex, width, peak = draws[on + _BUMP_DRAWS]
+    apex *= num_frames - 1
+    width *= num_frames
+    peak = np.minimum(np.maximum(peak * subject.expressivity, 0.55), 1.0)
+    frames = np.arange(num_frames)[:, np.newaxis]
+    curves = np.empty((num_frames, NUM_AUS))
+    curves[:, occurring] = peak * np.exp(
+        -0.5 * ((frames - apex) / width) ** 2)
+    silent = ends[~occurring] - num_frames
+    curves[:, ~occurring] = draws[silent + frames]
+    return curves
 
 
 def synthesize_dataset(config: SynthesisConfig, seed: int):
@@ -153,6 +191,7 @@ def synthesize_dataset(config: SynthesisConfig, seed: int):
         zeros = np.where(labels == 0)[0]
         labels[zeros[:deficit]] = 1
 
+    logits = class_logits(config)
     records = []
     for index in range(config.num_samples):
         subject = subjects[index % config.num_subjects]
@@ -160,7 +199,7 @@ def synthesize_dataset(config: SynthesisConfig, seed: int):
         behave_stressed = bool(label)
         if rng.random() < config.label_noise:
             behave_stressed = not behave_stressed
-        occurrence = sample_au_occurrence(config, subject, behave_stressed, rng)
+        occurrence = sample_au_occurrence(logits[behave_stressed], subject, rng)
         curves = au_intensity_curves(config, subject, occurrence, rng,
                                      behave_stressed=behave_stressed)
         true_aus = (curves.max(axis=0) >= 0.5).astype(np.float64)

@@ -121,6 +121,34 @@ class FaceRenderer:
             if peak > 0:
                 pattern /= peak
             self._au_patterns[i] = pattern
+        self._init_render_invariants()
+
+    def _init_render_invariants(self) -> None:
+        """Derive what every render reuses from the world arrays."""
+        # The bases flattened for one matrix-vector product each.
+        self._identity_rows = self._identity_basis.reshape(IDENTITY_DIM, -1)
+        self._au_rows = self._au_patterns.reshape(NUM_AUS, -1)
+        self._gradient = np.linspace(-0.5, 0.5, self.frame_size)
+        # One-entry memo of the per-clip ``base + identity`` term, keyed
+        # by the spec's identity array object (a clip's keyframes render
+        # back to back; specs are frozen, so the array is never written).
+        # Swapped as one tuple, so a concurrent render of another clip
+        # only ever sees a consistent (key, term) pair.
+        self._appearance = (None, None)
+
+    def __getstate__(self) -> dict:
+        # Videos carry their renderer across process pipes: ship only
+        # the world arrays (pickle would copy each flattened view as a
+        # second basis) and rebuild the rest on arrival.
+        state = self.__dict__.copy()
+        for name in ("_identity_rows", "_au_rows", "_gradient",
+                     "_appearance"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._init_render_invariants()
 
     # -- public API ----------------------------------------------------
 
@@ -131,25 +159,20 @@ class FaceRenderer:
             raise IndexError(
                 f"frame index {frame_index} out of range [0, {spec.num_frames})"
             )
-        frame = self._base.copy()
-        # Identity appearance.
-        frame += _IDENTITY_GAIN * np.tensordot(
-            spec.identity, self._identity_basis, axes=1
-        )
-        # Action-unit deformations.
-        intensities = spec.au_intensities[frame_index]
-        frame += _AU_GAIN * np.tensordot(intensities, self._au_patterns, axes=1)
+        size = self.frame_size
+        au_term = spec.au_intensities[frame_index] @ self._au_rows
+        frame = self._appearance_of(spec.identity) + (
+            _AU_GAIN * au_term).reshape(size, size)
         # Lighting gradient (left-to-right).
         if spec.lighting:
-            gradient = np.linspace(-0.5, 0.5, self.frame_size)
-            frame += spec.lighting * gradient[np.newaxis, :]
+            frame += spec.lighting * self._gradient
         # Per-frame capture noise and occlusion, seeded by the spec.
         rng = make_rng(spec.seed, f"render:{spec.video_id}:{frame_index}")
         if spec.noise_scale > 0:
             frame += rng.normal(0.0, spec.noise_scale, frame.shape)
         if spec.occlusion_rate > 0 and rng.random() < spec.occlusion_rate:
-            frame = self._occlude(frame, rng)
-        return np.clip(frame, 0.0, 1.0)
+            self._occlude(frame, rng)
+        return np.clip(frame, 0.0, 1.0, out=frame)
 
     def au_pattern(self, au_id: int) -> np.ndarray:
         """The (read-only) deformation pattern of ``au_id``."""
@@ -160,16 +183,25 @@ class FaceRenderer:
 
     # -- internals -----------------------------------------------------
 
-    def _occlude(self, frame: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Overlay a flat occluder patch (hand, microphone, caption bar)."""
+    def _appearance_of(self, identity: np.ndarray) -> np.ndarray:
+        """The clip-constant ``base + identity`` term (never mutated)."""
+        key, appearance = self._appearance
+        if key is not identity:
+            appearance = self._base + (
+                _IDENTITY_GAIN * (identity @ self._identity_rows)
+            ).reshape(self.frame_size, self.frame_size)
+            self._appearance = (identity, appearance)
+        return appearance
+
+    def _occlude(self, frame: np.ndarray, rng: np.random.Generator) -> None:
+        """Overlay a flat occluder patch (hand, microphone, caption bar)
+        on ``frame`` in place."""
         size = self.frame_size
         height = int(rng.integers(size // 8, size // 4))
         width = int(rng.integers(size // 6, size // 3))
         row = int(rng.integers(0, size - height))
         col = int(rng.integers(0, size - width))
-        occluded = frame.copy()
-        occluded[row:row + height, col:col + width] = 0.5
-        return occluded
+        frame[row:row + height, col:col + width] = 0.5
 
 
 @lru_cache(maxsize=4)

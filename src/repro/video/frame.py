@@ -11,6 +11,7 @@ still works on genuine pixel arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,15 +70,21 @@ class VideoSpec:
             raise ValueError(
                 f"au_intensities must be (num_frames, {NUM_AUS}), got {au.shape}"
             )
-        if not np.isfinite(au).all():
-            raise ValueError("au_intensities must be finite")
-        if np.any(au < 0.0) or np.any(au > 1.0):
+        # One min/max pass: NaN and +-inf fail the comparison as well,
+        # and only then does the finite check pick the message.
+        if au.size and not (au.min() >= 0.0 and au.max() <= 1.0):
+            if not np.isfinite(au).all():
+                raise ValueError("au_intensities must be finite")
             raise ValueError("au_intensities must lie in [0, 1]")
         identity = np.asarray(self.identity, dtype=np.float64)
         if identity.shape != (IDENTITY_DIM,):
             raise ValueError(
                 f"identity must be ({IDENTITY_DIM},), got {identity.shape}"
             )
+        if not math.isfinite(self.lighting):
+            raise ValueError("lighting must be finite")
+        if not math.isfinite(self.noise_scale):
+            raise ValueError("noise_scale must be finite")
         if self.noise_scale < 0.0:
             raise ValueError("noise_scale must be non-negative")
         if not 0.0 <= self.occlusion_rate <= 1.0:

@@ -6,7 +6,12 @@ import pytest
 from repro.datasets import generate_disfa, generate_rsl, generate_uvsd
 from repro.datasets.instruction import build_instruction_pairs
 from repro.datasets.rsl import rsl_config
-from repro.datasets.synth import SynthesisConfig, synthesize_dataset
+from repro.datasets.synth import (
+    SynthesisConfig,
+    au_intensity_curves,
+    make_subject,
+    synthesize_dataset,
+)
 from repro.datasets.uvsd import uvsd_config
 from repro.errors import DatasetError
 from repro.facs.stress_priors import default_stress_prior
@@ -88,6 +93,51 @@ class TestSynthesisConfigValidation:
         config = SynthesisConfig("x", 101, 7, 37, default_stress_prior())
         records = synthesize_dataset(config, seed=0)
         assert sum(label for __, label, __ in records) == 37
+
+
+def _per_au_reference(config, subject, occurrence, rng, behave_stressed):
+    """The original per-AU loop: separate scalar ``uniform`` draws per
+    AU, in AU order.  The vectorized synthesis must equal it bitwise."""
+    num_frames = config.num_frames
+    frames = np.arange(num_frames, dtype=np.float64)
+    curves = np.zeros((num_frames, 12))
+    stress_positive = config.prior.stress_log_odds > 0
+    for i in range(12):
+        if occurrence[i] >= 0.5:
+            apex = rng.uniform(0.2, 0.8) * (num_frames - 1)
+            width = rng.uniform(0.12, 0.35) * num_frames
+            low, high = 0.58, 0.92
+            if behave_stressed and stress_positive[i]:
+                low, high = 0.74, 1.0
+            peak = np.clip(
+                rng.uniform(low, high) * subject.expressivity, 0.55, 1.0
+            )
+            curves[:, i] = peak * np.exp(-0.5 * ((frames - apex) / width) ** 2)
+        else:
+            curves[:, i] = rng.uniform(0.0, 0.12, num_frames)
+    return np.clip(curves, 0.0, 1.0)
+
+
+class TestIntensityCurveDraws:
+    @pytest.mark.parametrize("num_frames", [1, 5, 12, 30])
+    @pytest.mark.parametrize("behave_stressed", [False, True])
+    def test_matches_per_au_loop(self, num_frames, behave_stressed):
+        config = SynthesisConfig("x", 10, 5, 5, default_stress_prior(2.0),
+                                 num_frames=num_frames)
+        rng = np.random.default_rng(num_frames)
+        for index in range(40):
+            subject = make_subject(config, index, rng)
+            occurrence = (rng.random(12) < index / 40).astype(np.float64)
+            seed = int(rng.integers(1 << 32))
+            fast = np.random.default_rng(seed)
+            slow = np.random.default_rng(seed)
+            curves = au_intensity_curves(config, subject, occurrence, fast,
+                                         behave_stressed=behave_stressed)
+            expected = _per_au_reference(config, subject, occurrence, slow,
+                                         behave_stressed)
+            assert np.array_equal(curves, expected)
+            # Both left their generator at the same stream position.
+            assert fast.random() == slow.random()
 
 
 class TestInstructionPairs:

@@ -78,3 +78,126 @@ class TestRenderer:
         renderer = default_renderer()
         diff = np.abs(renderer.render(occluded, 0) - renderer.render(clean, 0))
         assert (diff > 0.01).sum() > 20
+
+    def test_returned_frames_are_private(self):
+        """Writing into a rendered frame never leaks into later renders
+        (the per-clip appearance term is shared between them)."""
+        spec = _spec(np.full((2, 12), 0.2), noise_scale=0.02,
+                     occlusion_rate=0.5)
+        renderer = default_renderer()
+        first = renderer.render(spec, 0)
+        expected = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(renderer.render(spec, 0), expected)
+        assert np.array_equal(renderer.render(spec, 1),
+                              FaceRenderer().render(spec, 1))
+
+    def test_pickle_round_trip_ships_only_the_world(self):
+        """Videos cross process pipes with their renderer: the payload is
+        the base face and the 8 + 12 basis frames, nothing derived."""
+        import pickle
+
+        renderer = default_renderer()
+        spec = _spec(np.full((3, 12), 0.5), noise_scale=0.02,
+                     occlusion_rate=0.5, lighting=0.1)
+        renderer.render(spec, 0)
+        blob = pickle.dumps(renderer)
+        assert len(blob) < 22 * 96 * 96 * 8
+        clone = pickle.loads(blob)
+        for index in range(3):
+            assert np.array_equal(clone.render(spec, index),
+                                  renderer.render(spec, index))
+
+
+@pytest.fixture()
+def render_calls(monkeypatch):
+    """Records every ``FaceRenderer.render(spec, index)`` call, the unit
+    the benchmark's render self-checks count."""
+    calls = []
+    original = FaceRenderer.render
+
+    def counted(self, spec, frame_index):
+        calls.append((spec.video_id, frame_index))
+        return original(self, spec, frame_index)
+
+    monkeypatch.setattr(FaceRenderer, "render", counted)
+    return calls
+
+
+def _clip(video_id: str, curves: np.ndarray, seed: int) -> VideoSpec:
+    identity = np.random.default_rng(seed).standard_normal(IDENTITY_DIM)
+    return _spec(curves, video_id=video_id, identity=identity,
+                 noise_scale=0.03, lighting=0.05, occlusion_rate=0.2,
+                 seed=seed)
+
+
+class TestRenderCallContract:
+    def test_keyframes_render_each_distinct_index_once(self, render_calls):
+        curves = np.zeros((12, 12))
+        curves[:, 3] = np.linspace(0.1, 0.9, 12)
+        video = Video(_clip("ramp", curves, 1))
+        video.keyframes
+        video.keyframes
+        assert render_calls == [("ramp", 11), ("ramp", 0)]
+
+    def test_coinciding_keyframes_render_once(self, render_calls):
+        video = Video(_clip("flat", np.full((12, 12), 0.4), 2))
+        expressive, neutral = video.keyframes
+        assert render_calls == [("flat", 0)]
+        assert expressive is neutral
+
+    def test_feature_cache_hit_renders_nothing(self, render_calls):
+        from repro.model.foundation import FoundationModel
+        from repro.rng import make_rng
+
+        model = FoundationModel(make_rng(123, "render-contract"))
+        spec = _clip("cached", np.linspace(0, 1, 144).reshape(12, 12), 3)
+        first = model.features(Video(spec))
+        assert len(render_calls) == 2
+        assert model.features(Video(spec)) is first
+        assert len(render_calls) == 2
+
+    def test_threads_render_like_serial(self):
+        """Concurrent renders of different clips on the shared renderer
+        equal serial renders bit for bit, whatever the interleaving.
+        Clips come in ``dataclasses.replace`` twins sharing an identity
+        array, as the benchmark's clip streams do."""
+        import dataclasses
+        import sys
+        import threading
+
+        rounds = 25
+        rng = np.random.default_rng(8)
+        specs = []
+        for i in range(2):
+            spec = _clip(f"thread-{i}", rng.random((12, 12)), 10 + i)
+            specs += [spec, dataclasses.replace(spec, video_id=f"twin-{i}",
+                                                seed=20 + i)]
+        renderer = default_renderer()
+        serial = [[renderer.render(spec, t) for t in range(12)]
+                  for spec in specs]
+        results = [[] for __ in specs]
+        barrier = threading.Barrier(len(specs), timeout=30)
+
+        def work(slot: int) -> None:
+            barrier.wait()
+            for __ in range(rounds):
+                results[slot].extend(renderer.render(specs[slot], t)
+                                     for t in range(12))
+
+        threads = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(len(specs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot, frames in enumerate(results):
+            assert len(frames) == 12 * rounds
+            for index, frame in enumerate(frames):
+                assert np.array_equal(frame, serial[slot][index % 12])

@@ -31,6 +31,42 @@ class TestVideoSpec:
         with pytest.raises(ValueError):
             _spec(au_intensities=np.full((12, 12), 1.5))
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+        (-0.1, r"\[0, 1\]"), (1.5, r"\[0, 1\]"),
+    ])
+    def test_rejects_bad_intensity_values(self, bad, message):
+        curves = np.full((12, 12), 0.3)
+        curves[5, 7] = bad
+        with pytest.raises(ValueError, match=f"au_intensities must .*{message}"):
+            _spec(au_intensities=curves)
+
+    def test_non_finite_wins_over_out_of_range(self):
+        curves = np.full((12, 12), 0.3)
+        curves[0, 0], curves[1, 1] = -0.5, np.nan
+        with pytest.raises(ValueError, match="au_intensities must be finite"):
+            _spec(au_intensities=curves)
+
+    def test_boundary_intensities_and_coercion(self):
+        curves = [[0.0] * 12, [1.0] * 12]
+        spec = _spec(au_intensities=curves, identity=[0] * IDENTITY_DIM)
+        assert spec.au_intensities.dtype == np.float64
+        assert spec.identity.dtype == np.float64
+        assert spec.num_frames == 2
+
+    def test_accepts_zero_frame_intensities(self):
+        assert _spec(au_intensities=np.zeros((0, 12))).num_frames == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_lighting(self, bad):
+        with pytest.raises(ValueError, match="lighting must be finite"):
+            _spec(lighting=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_noise(self, bad):
+        with pytest.raises(ValueError, match="noise_scale must be finite"):
+            _spec(noise_scale=bad)
+
     def test_rejects_bad_identity(self):
         with pytest.raises(ValueError):
             _spec(identity=np.zeros(3))
