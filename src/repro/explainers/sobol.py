@@ -17,7 +17,6 @@ fastest of the paper's post-hoc baselines.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 from repro.explainers.base import (
     Explainer,
@@ -46,14 +45,22 @@ class SobolExplainer(Explainer):
     def __init__(self, num_designs: int = 16, baseline: float = 0.5):
         if num_designs < 2:
             raise ValueError("num_designs must be at least 2")
+        # Imported here, not at module level: scipy.stats adds tens of
+        # MB to every process that loads it, forked serving replicas
+        # included, and only a process that builds a SOBOL explainer
+        # needs it.  Loading it at construction keeps the import out of
+        # ``attribute``.
+        from scipy.stats import qmc
+
+        self._sobol_sampler = qmc.Sobol
         self.num_designs = num_designs
         self.baseline = baseline
 
     def attribute(self, frame: np.ndarray, labels: np.ndarray,
                   predict_fn: PredictFn, seed: int = 0) -> SegmentAttribution:
         num_segments = self._num_segments(labels)
-        sampler = qmc.Sobol(d=2 * num_segments, scramble=True,
-                            seed=derive_seed(seed, "sobol"))
+        sampler = self._sobol_sampler(d=2 * num_segments, scramble=True,
+                                      seed=derive_seed(seed, "sobol"))
         designs = sampler.random(self.num_designs)
         a_masks = designs[:, :num_segments]
         b_masks = designs[:, num_segments:]

@@ -271,10 +271,14 @@ class _ProcessReplica:
     The parent side keeps the request plumbing -- micro-batcher
     (deadline shedding, bounded queue, stats) and circuit breaker --
     and ships each collected batch over a pipe to the child, which
-    owns the pipeline, executor, and stage caches.  The pipe is
-    strictly request/response and guarded by a lock, so batch and swap
-    commands never interleave: a swap waits out the in-flight batch
-    exactly like :meth:`StressService.swap_pipeline` does.
+    owns the pipeline, executor, and stage caches.  A batch crosses as
+    its videos' specs plus a reference to their renderer, which the
+    child resolves to its own shared renderer (DESIGN.md section 13),
+    and comes back as ``ChainResult`` outcomes.  The pipe is strictly
+    request/response and guarded by a lock, so batch and swap commands
+    never interleave: a swap waits out the in-flight batch exactly
+    like :meth:`StressService.swap_pipeline` does.  A child that dies
+    fails the in-flight and later requests with :class:`PoolError`.
     """
 
     backend = "process"
@@ -311,8 +315,13 @@ class _ProcessReplica:
             if not self._process.is_alive():
                 raise PoolError(
                     f"replica {self.index} worker process has exited")
-            self._conn.send((command, argument))
-            status, payload = self._conn.recv()
+            try:
+                self._conn.send((command, argument))
+                status, payload = self._conn.recv()
+            except (EOFError, OSError) as exc:
+                raise PoolError(
+                    f"replica {self.index} worker process died during "
+                    f"{command!r}") from exc
         if status == "error":
             raise payload
         return payload
@@ -362,14 +371,17 @@ class _ProcessReplica:
         drained = self._batcher.close(drain=drain, timeout=timeout)
         try:
             self._command("close", None)
-        except (PoolError, OSError, EOFError):
+        except PoolError:
             pass
         self._process.join(timeout if timeout is not None else 5.0)
         if self._process.is_alive():  # pragma: no cover - hung child
             self._process.terminate()
             drained = False
         self._conn.close()
-        return drained
+        # Only the close command ends the worker with exit code 0; one
+        # that died first (killed, crashed) failed the requests routed
+        # to it, so the replica did not shut down cleanly.
+        return drained and self._process.exitcode == 0
 
 
 # ----------------------------------------------------------------------

@@ -121,10 +121,6 @@ class FaceRenderer:
             if peak > 0:
                 pattern /= peak
             self._au_patterns[i] = pattern
-        self._init_render_invariants()
-
-    def _init_render_invariants(self) -> None:
-        """Derive what every render reuses from the world arrays."""
         # The bases flattened for one matrix-vector product each.
         self._identity_rows = self._identity_basis.reshape(IDENTITY_DIM, -1)
         self._au_rows = self._au_patterns.reshape(NUM_AUS, -1)
@@ -136,19 +132,12 @@ class FaceRenderer:
         # only ever sees a consistent (key, term) pair.
         self._appearance = (None, None)
 
-    def __getstate__(self) -> dict:
-        # Videos carry their renderer across process pipes: ship only
-        # the world arrays (pickle would copy each flattened view as a
-        # second basis) and rebuild the rest on arrival.
-        state = self.__dict__.copy()
-        for name in ("_identity_rows", "_au_rows", "_gradient",
-                     "_appearance"):
-            del state[name]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._init_render_invariants()
+    def __reduce__(self):
+        # The world is a pure function of ``frame_size`` and the fixed
+        # world seed, so a renderer crossing a process pipe travels as
+        # a reference: the receiver reuses (or builds once) its own
+        # shared renderer, whose arrays are bit-identical.
+        return default_renderer, (self.frame_size,)
 
     # -- public API ----------------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import threading
 from collections import Counter
 from pathlib import Path
@@ -416,6 +417,55 @@ class TestDeploy:
                                        num_replicas=1) as pool:
             with pytest.raises(ConfigError, match="canary_fraction"):
                 pool.deploy("v2", canary_fraction=0.0)
+
+
+# ----------------------------------------------------------------------
+# Process replica failures
+# ----------------------------------------------------------------------
+
+
+class _ChildKiller(Video):
+    """A clip whose unpickling ends the process receiving it: the
+    replica child dies deterministically in the middle of its batch."""
+
+    def __reduce__(self):
+        return os._exit, (9,)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestProcessReplicaFailures:
+    def test_child_dying_mid_batch_fails_with_pool_error(self):
+        pool = ReplicaPool(_pipeline(), num_replicas=1, backend="process")
+        try:
+            with pytest.raises(PoolError) as info:
+                pool.predict(_ChildKiller(_videos(1)[0].spec), timeout=60)
+            assert isinstance(info.value.__cause__, (EOFError, OSError))
+            with pytest.raises(PoolError):
+                pool.predict(_videos(1)[0], timeout=60)
+        finally:
+            clean = pool.close()
+        assert clean is False
+
+    def test_killed_child_fails_requests_and_close_reports_it(self):
+        video = _videos(1)[0]
+        pool = ReplicaPool(_pipeline(), num_replicas=2, backend="process")
+        try:
+            assert isinstance(pool.predict(video, timeout=60), ChainResult)
+            child = pool._replicas[pool.route(video)]._process
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(30)
+            with pytest.raises(PoolError):
+                pool.predict(video, timeout=60)
+        finally:
+            clean = pool.close()
+        assert clean is False
+
+    def test_healthy_pool_closes_cleanly_and_idempotently(self):
+        pool = ReplicaPool(_pipeline(), num_replicas=1, backend="process")
+        assert isinstance(pool.predict(_videos(1)[0], timeout=60),
+                          ChainResult)
+        assert pool.close() is True
+        assert pool.close() is True
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for the synthetic face renderer."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.datasets.uvsd import generate_uvsd
 from repro.facs.action_units import AU_IDS
 from repro.facs.regions import region_for_au
 from repro.video.face_synth import FaceRenderer, default_renderer
@@ -90,21 +93,34 @@ class TestRenderer:
         first[:] = -1.0
         assert np.array_equal(renderer.render(spec, 0), expected)
 
-    def test_pickle_round_trip_ships_only_the_world(self):
-        """Videos cross process pipes with their renderer: the payload is
-        the base face and the 8 + 12 basis frames, nothing derived."""
-        import pickle
 
-        renderer = default_renderer()
+class TestPickleContract:
+    """Videos cross process pipes with their renderer; the renderer
+    travels as a reference to the receiver's shared one, never as its
+    world arrays."""
+
+    def test_pickled_renderer_is_a_reference(self):
+        assert len(pickle.dumps(default_renderer())) < 256
+
+    @pytest.mark.parametrize("size", [96, 48])
+    def test_unpickles_to_the_shared_renderer(self, size):
+        fresh = FaceRenderer(size)
+        clone = pickle.loads(pickle.dumps(fresh))
+        assert clone is default_renderer(size)
         spec = _spec(np.full((3, 12), 0.5), noise_scale=0.02,
                      occlusion_rate=0.5, lighting=0.1)
-        renderer.render(spec, 0)
-        blob = pickle.dumps(renderer)
-        assert len(blob) < 22 * 96 * 96 * 8
-        clone = pickle.loads(blob)
         for index in range(3):
             assert np.array_equal(clone.render(spec, index),
-                                  renderer.render(spec, index))
+                                  fresh.render(spec, index))
+
+    def test_pickled_batch_of_uvsd_videos_is_small(self):
+        videos = [sample.video for sample in
+                  generate_uvsd(num_samples=8, num_subjects=4)]
+        blob = pickle.dumps(videos)
+        assert len(blob) < 16 * 1024
+        for video, clone in zip(videos, pickle.loads(blob)):
+            for got, want in zip(clone.keyframes, video.keyframes):
+                assert np.array_equal(got, want)
 
 
 @pytest.fixture()
