@@ -12,12 +12,15 @@ worker, stage caches, and circuit breaker:
   caches stay hot -- random routing would shred the hit rate across
   replicas.  Adding or removing a replica remaps only the ring arcs it
   owns, not the whole keyspace.
-- **Two replica backends.**  ``"thread"`` replicas are full
-  :class:`StressService` instances over per-replica pipeline clones;
-  ``"process"`` replicas fork a child that runs the batch executor and
-  speak a tiny pickled command protocol over a pipe (POSIX only --
-  mirrors :mod:`repro.evaluation.parallel`'s fork backend, and falls
-  back to threads the same way).  Defaults come from
+- **One replica type, the executor local or forked.**  Every replica
+  is a plain :class:`StressService`, so batching, deadlines, retries,
+  the breaker and stats exist once.  On the ``"thread"`` backend it
+  runs its local batch executor over a per-replica pipeline clone; on
+  the ``"process"`` backend its executor forks a child that owns the
+  pipeline, a real batch executor and the stage caches, and speaks a
+  tiny pickled command protocol over a pipe (POSIX only -- mirrors
+  :mod:`repro.evaluation.parallel`'s fork backend, and falls back to
+  threads the same way).  Defaults come from
   ``REPRO_POOL_REPLICAS`` / ``REPRO_POOL_BACKEND`` via
   :func:`repro.config.settings`.
 - **Versioned hot-swap.**  :meth:`ReplicaPool.deploy` loads a version
@@ -40,11 +43,10 @@ import hashlib
 import multiprocessing
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.config import POOL_BACKEND_ENV, POOL_REPLICAS_ENV, settings
 from repro.errors import (
-    CircuitOpenError,
     ConfigError,
     DeploymentError,
     PoolError,
@@ -52,12 +54,11 @@ from repro.errors import (
 )
 from repro.observability.metrics import global_metrics
 from repro.observability.tracing import span
-from repro.reliability.breaker import CLOSED, OPEN, BreakerConfig, CircuitBreaker
-from repro.reliability.deadlines import Deadline
-from repro.serving.batcher import MicroBatcher
+from repro.reliability.breaker import OPEN, BreakerConfig
 from repro.serving.cache import LRUCache, StageCaches, video_content_hash
+from repro.serving.executor import ChainBatchExecutor
 from repro.serving.service import ServiceConfig, StressService
-from repro.serving.stats import ServiceStats, ServiceStatsSnapshot
+from repro.serving.stats import ServiceStatsSnapshot
 from repro.video.frame import Video
 
 __all__ = [
@@ -172,203 +173,111 @@ class _HashRing:
 
 
 # ----------------------------------------------------------------------
-# Replicas
+# The process backend's executor
 # ----------------------------------------------------------------------
 
 
-class _ThreadReplica:
-    """One replica backed by a full in-process :class:`StressService`."""
-
-    backend = "thread"
-
-    def __init__(self, index: int, pipeline, config: ServiceConfig):
-        self.index = index
-        self.payload = ("pipeline", pipeline, None)
-        self.service = StressService(pipeline, config)
-
-    def submit(self, video: Video, deadline_ms: float | None):
-        return self.service.submit(video, deadline_ms=deadline_ms)
-
-    def swap(self, payload) -> None:
-        kind, value, __ = payload
-        if kind == "path":
-            from repro.model.persistence import load_pipeline
-
-            pipeline = load_pipeline(value)
-        else:
-            pipeline = value
-        self.service.swap_pipeline(pipeline)
-        self.payload = payload
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        return self.service.breaker
-
-    def fingerprint(self) -> str:
-        return self.service.pipeline.model.fingerprint()
-
-    def stats(self) -> ServiceStatsSnapshot:
-        return self.service.stats()
-
-    def close(self, drain: bool = True, timeout: float | None = None) -> bool:
-        return self.service.close(drain=drain, timeout=timeout)
-
-
-def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
-    """Child-process loop of one ``"process"`` replica.
-
-    Inherits ``pipeline`` through fork (nothing is pickled on the way
-    in), runs batches through its own executor + caches, and answers
-    ``("ok", result)`` / ``("error", exc)`` per command.  Swap
-    commands carry either a registry artifact *path* (the child
-    re-loads the archive itself -- weights never cross the pipe) or a
-    pickled pipeline (the rollback fallback for pools seeded from a
-    bare pipeline object).
-    """
-    from repro.serving.executor import ChainBatchExecutor
-
-    caches = StageCaches(
-        describe_capacity=config.describe_cache_capacity,
-        assess_capacity=config.assess_cache_capacity,
-        highlight_capacity=config.highlight_cache_capacity,
-    )
-    executor = ChainBatchExecutor(pipeline, caches)
-    while True:
-        try:
-            command, argument = conn.recv()
-        except EOFError:
-            return
-        try:
-            if command == "batch":
-                outcomes, unique = executor.run_batch(argument)
-                conn.send(("ok", (outcomes, unique)))
-            elif command == "swap":
-                kind, value = argument
-                if kind == "path":
-                    from repro.model.persistence import load_pipeline
-
-                    replacement = load_pipeline(value)
-                else:
-                    replacement = value
-                executor.replace_pipeline(replacement)
-                caches.clear()
-                conn.send(("ok", None))
-            elif command == "fingerprint":
-                conn.send(("ok", executor.pipeline.model.fingerprint()))
-            elif command == "close":
-                conn.send(("ok", None))
-                return
-            else:  # pragma: no cover - protocol guard
-                conn.send(("error", PoolError(
-                    f"unknown replica command {command!r}")))
-        except BaseException as exc:  # noqa: BLE001 - child must survive
-            conn.send(("error", exc))
-
-
-class _ProcessReplica:
-    """One replica backed by a forked child process.
-
-    The parent side keeps the request plumbing -- micro-batcher
-    (deadline shedding, bounded queue, stats) and circuit breaker --
-    and ships each collected batch over a pipe to the child, which
-    owns the pipeline, executor, and stage caches.  A batch crosses as
-    its videos' specs plus a reference to their renderer, which the
-    child resolves to its own shared renderer (DESIGN.md section 13),
-    and comes back as ``ChainResult`` outcomes.  The pipe is strictly
-    request/response and guarded by a lock, so batch and swap commands
-    never interleave: a swap waits out the in-flight batch exactly
-    like :meth:`StressService.swap_pipeline` does.  A child that dies
-    fails the in-flight and later requests with :class:`PoolError`.
+class _ForkedExecutor:
+    """A ``"process"`` replica's executor: :class:`ChainBatchExecutor`'s
+    ``run_batch`` / ``replace_pipeline`` contract, served by a forked
+    child that owns the pipeline, a real ``ChainBatchExecutor`` and the
+    stage caches.  The pipe is strictly request/response and guarded by
+    a lock; a batch crosses as specs plus a renderer reference
+    (DESIGN.md section 13).  A child that dies fails the in-flight and
+    later requests with :class:`PoolError`.
     """
 
-    backend = "process"
+    #: The pipeline lives in the child only.
+    pipeline = None
 
     def __init__(self, index: int, pipeline, config: ServiceConfig):
-        self.index = index
-        self.payload = ("pipeline", pipeline, None)
-        self.config = config
-        self._stats = ServiceStats()
-        self._breaker = (CircuitBreaker(config.breaker)
-                         if config.breaker is not None else None)
         context = multiprocessing.get_context("fork")
         self._conn, child_conn = context.Pipe()
         self._conn_lock = threading.Lock()
         self._process = context.Process(
-            target=_process_replica_worker,
+            target=self._serve,
             args=(child_conn, pipeline, config),
             name=f"pool-replica-{index}",
             daemon=True,
         )
         self._process.start()
         child_conn.close()
-        self._batcher = MicroBatcher(
-            self._process_batch,
-            max_batch_size=config.max_batch_size,
-            max_wait_ms=config.max_wait_ms,
-            max_queue_depth=config.max_queue_depth,
-            stats=self._stats,
-            name=f"pool-replica-{index}",
+
+    @staticmethod
+    def _serve(conn, pipeline, config: ServiceConfig) -> None:
+        """Child-process loop: inherits ``pipeline`` through fork and
+        answers ``("ok", result)`` / ``("error", exc)`` per command.  A
+        swap carries a registry artifact *path* (weights never cross the
+        pipe) or a pickled pipeline (rollback of a bare-pipeline pool).
+        """
+        caches = StageCaches(
+            describe_capacity=config.describe_cache_capacity,
+            assess_capacity=config.assess_cache_capacity,
+            highlight_capacity=config.highlight_cache_capacity,
         )
+        executor = ChainBatchExecutor(pipeline, caches)
+        while True:
+            try:
+                command, argument = conn.recv()
+            except EOFError:
+                return
+            try:
+                if command == "batch":
+                    conn.send(("ok", executor.run_batch(argument)))
+                elif command == "swap":
+                    kind, value = argument
+                    if kind == "path":
+                        from repro.model.persistence import load_pipeline
+
+                        value = load_pipeline(value)
+                    executor.replace_pipeline(value)
+                    caches.clear()
+                    conn.send(("ok", None))
+                elif command == "fingerprint":
+                    conn.send(("ok", executor.pipeline.model.fingerprint()))
+                elif command == "close":
+                    conn.send(("ok", None))
+                    return
+                else:  # pragma: no cover - protocol guard
+                    conn.send(("error", PoolError(
+                        f"unknown replica command {command!r}")))
+            except BaseException as exc:  # noqa: BLE001 - child must survive
+                conn.send(("error", exc))
 
     def _command(self, command: str, argument) -> object:
         with self._conn_lock:
             if not self._process.is_alive():
-                raise PoolError(
-                    f"replica {self.index} worker process has exited")
+                raise PoolError(f"{self._process.name} worker process "
+                                "has exited")
             try:
                 self._conn.send((command, argument))
                 status, payload = self._conn.recv()
             except (EOFError, OSError) as exc:
-                raise PoolError(
-                    f"replica {self.index} worker process died during "
-                    f"{command!r}") from exc
+                raise PoolError(f"{self._process.name} worker process "
+                                f"died during {command!r}") from exc
         if status == "error":
             raise payload
         return payload
 
-    def _process_batch(self, videos: list[Video]) -> list[object]:
-        if self._breaker is not None and not self._breaker.allow():
-            # No parent-side caches to degrade onto: fail fast -- but
-            # the shed batch still counts in this replica's stats,
-            # matching StressService._process_batch's breaker path.
-            self._stats.record_batch(size=len(videos), unique=len(videos))
-            return [CircuitOpenError(
-                "replica circuit breaker is open; retry after its "
-                "open window")] * len(videos)
+    def run_batch(self, videos: list[Video]) -> tuple[list[object], int]:
         try:
-            outcomes, unique = self._command("batch", videos)
+            return self._command("batch", videos)
         except BaseException as exc:  # noqa: BLE001 - fail the batch
-            outcomes, unique = [exc] * len(videos), len(videos)
-        if self._breaker is not None:
-            for outcome in outcomes:
-                self._breaker.record(not isinstance(outcome, BaseException))
-        self._stats.record_batch(size=len(videos), unique=unique)
-        return outcomes
+            return [exc] * len(videos), len(videos)
 
-    def submit(self, video: Video, deadline_ms: float | None):
-        deadline = (Deadline.after_ms(deadline_ms)
-                    if deadline_ms is not None else None)
-        return self._batcher.submit(video, deadline=deadline)
-
-    def swap(self, payload) -> None:
-        kind, value, __ = payload
-        self._command("swap", (kind, value))
-        self.payload = payload
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        return self._breaker
+    def replace_pipeline(self, pipeline) -> None:
+        """Swap the child's pipeline: ``pipeline`` is a pipeline object
+        (pickled across) or the path of a registry artifact for the
+        child to load."""
+        kind = ("path" if isinstance(pipeline, (str, os.PathLike))
+                else "pipeline")
+        self._command("swap", (kind, pipeline))
 
     def fingerprint(self) -> str:
         return self._command("fingerprint", None)
 
-    def stats(self) -> ServiceStatsSnapshot:
-        breaker_state = (self._breaker.state
-                         if self._breaker is not None else CLOSED)
-        return self._stats.snapshot(breaker_state=breaker_state)
-
-    def close(self, drain: bool = True, timeout: float | None = None) -> bool:
-        drained = self._batcher.close(drain=drain, timeout=timeout)
+    def close(self, timeout: float | None = None) -> bool:
+        """End the child; ``True`` iff it exited cleanly."""
         try:
             self._command("close", None)
         except PoolError:
@@ -376,12 +285,11 @@ class _ProcessReplica:
         self._process.join(timeout if timeout is not None else 5.0)
         if self._process.is_alive():  # pragma: no cover - hung child
             self._process.terminate()
-            drained = False
         self._conn.close()
-        # Only the close command ends the worker with exit code 0; one
+        # Only the close command ends the child with exit code 0; one
         # that died first (killed, crashed) failed the requests routed
         # to it, so the replica did not shut down cleanly.
-        return drained and self._process.exitcode == 0
+        return self._process.exitcode == 0
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +303,9 @@ class PoolStatsSnapshot:
 
     ``routed`` counts requests per replica (the routing histogram the
     consistent-hash ring produced); ``replicas`` holds each replica's
-    own :class:`ServiceStatsSnapshot`.
+    own :class:`ServiceStatsSnapshot`.  On the ``"process"`` backend a
+    replica's ``cache`` reports its parent-side stage caches, which
+    have capacity 0: the caches that do the work live in the child.
     """
 
     num_replicas: int
@@ -454,23 +364,32 @@ class ReplicaPool:
         self._routed_lock = threading.Lock()
         self._deploy_lock = threading.Lock()
         self._closed = False
-        initial = self._initial_payload(registry, version)
-        replica_cls = (_ThreadReplica if self.backend == "thread"
-                       else _ProcessReplica)
-        self._replicas: list[_ThreadReplica | _ProcessReplica] = []
+        initial = (("path", registry.verified_artifact(version), version)
+                   if registry is not None and version is not None else None)
+        # A forked replica's stage caches live in its child, so the
+        # parent-side ones hold nothing, and an open breaker there has
+        # no cached answers to degrade onto: it fails fast.
+        forked_config = replace(
+            self.config, describe_cache_capacity=0, assess_cache_capacity=0,
+            highlight_cache_capacity=0, degraded_mode=False)
+        self._replicas: list[StressService] = []
+        self._payloads: list[tuple] = []  # each replica's rollback payload
         for index in range(self.num_replicas):
-            source = (pipeline if self.backend == "process"
-                      or index == 0 else clone_pipeline(pipeline))
-            replica = replica_cls(index, source, self.config)
-            if initial is not None:
-                replica.payload = initial
-            # Without a versioned artifact the replica keeps the
-            # ("pipeline", ...) payload its constructor captured: its
+            if self.backend == "process":
+                source = pipeline
+                replica = StressService(
+                    pipeline, forked_config,
+                    _executor=_ForkedExecutor(index, pipeline, self.config))
+            else:
+                source = pipeline if index == 0 else clone_pipeline(pipeline)
+                replica = StressService(source, self.config)
+            self._replicas.append(replica)
+            # Without a versioned artifact each replica's payload is its
             # OWN copy.  One shared payload here would make a later
             # rollback install the same mutable pipeline into every
             # thread replica -- exactly the forward-state race
             # clone_pipeline() exists to prevent.
-            self._replicas.append(replica)
+            self._payloads.append(initial or ("pipeline", source, None))
         metrics = global_metrics()
         metrics.gauge("pool.replicas").set(self.num_replicas)
         self._m_requests = metrics.counter("pool.requests")
@@ -490,15 +409,6 @@ class ReplicaPool:
             raise PoolError(f"registry {registry.root} holds no versions")
         pipeline = registry.load(version)
         return cls(pipeline, registry=registry, version=version, **kwargs)
-
-    @staticmethod
-    def _initial_payload(registry, version):
-        """The shared versioned-artifact payload, or ``None`` for a
-        bare-pipeline pool (each replica then keeps its per-replica
-        pipeline payload)."""
-        if registry is not None and version is not None:
-            return ("path", registry.verified_artifact(version), version)
-        return None
 
     # -- the hot path --------------------------------------------------
 
@@ -539,7 +449,9 @@ class ReplicaPool:
         """Each replica's model fingerprint (asserts which weights a
         replica actually serves -- equal fingerprints imply bitwise-
         equal forward passes)."""
-        return [replica.fingerprint() for replica in self._replicas]
+        if self.backend == "process":
+            return [r.executor.fingerprint() for r in self._replicas]
+        return [r.pipeline.model.fingerprint() for r in self._replicas]
 
     def stats(self) -> PoolStatsSnapshot:
         with self._routed_lock:
@@ -589,10 +501,10 @@ class ReplicaPool:
                                             * self.num_replicas)))
         with self._deploy_lock:
             canaries = tuple(range(canary_count))
-            previous = {i: self._replicas[i].payload for i in canaries}
+            previous = {i: self._payloads[i] for i in canaries}
             for index in canaries:
                 with span("pool.swap", replica=index, version=version):
-                    self._replicas[index].swap(payload)
+                    self._swap(index, payload)
             self._m_deploys.inc()
             deployment = Deployment(self, version, payload, canaries,
                                     previous)
@@ -600,14 +512,29 @@ class ReplicaPool:
                 deployment._complete()
         return deployment
 
+    def _swap(self, index: int, payload) -> None:
+        """Point replica ``index`` at ``payload``'s pipeline, after its
+        in-flight batch.  A forked replica's child loads a registry
+        artifact itself; a thread replica loads it here."""
+        kind, value, __ = payload
+        if kind == "path" and self.backend == "thread":
+            from repro.model.persistence import load_pipeline
+
+            value = load_pipeline(value)
+        self._replicas[index].swap_pipeline(value)
+        self._payloads[index] = payload
+
     # -- lifecycle -----------------------------------------------------
 
     def close(self, drain: bool = True, timeout: float | None = None) -> bool:
-        """Shut every replica down; ``True`` iff all drained fully."""
+        """Shut every replica down; ``True`` iff all drained fully (and,
+        on the process backend, every child exited cleanly)."""
         self._closed = True
         drained = True
         for replica in self._replicas:
             drained = replica.close(drain=drain, timeout=timeout) and drained
+            if self.backend == "process":
+                drained = replica.executor.close(timeout) and drained
         return drained
 
     @property
@@ -679,9 +606,9 @@ class Deployment:
             for index in range(self.pool.num_replicas):
                 if index in self._previous:
                     continue
-                self._previous[index] = self.pool._replicas[index].payload
+                self._previous[index] = self.pool._payloads[index]
                 with span("pool.swap", replica=index, version=self.version):
-                    self.pool._replicas[index].swap(self._payload)
+                    self.pool._swap(index, self._payload)
         self._complete()
 
     def rollback(self) -> None:
@@ -691,7 +618,7 @@ class Deployment:
         with self.pool._deploy_lock:
             for index, payload in self._previous.items():
                 with span("pool.swap", replica=index, rollback=True):
-                    self.pool._replicas[index].swap(payload)
+                    self.pool._swap(index, payload)
         self.pool._m_rollbacks.inc()
         previous_versions = {payload[2]
                              for payload in self._previous.values()}

@@ -73,14 +73,14 @@ class ServiceConfig:
     the backpressure limit; the ``*_cache_capacity`` fields size the
     per-stage LRU caches (0 disables a cache).
 
-    The reliability knobs all default *off* so the hot path stays
-    byte-for-byte the PR-3 serving loop unless a deployment opts in:
-    ``default_deadline_ms`` attaches a deadline to every submit that
-    does not bring its own; ``retry_policy`` retries transient
-    per-request executor failures with seeded backoff; ``breaker``
-    trips on sustained failure, and ``degraded_mode`` lets an open
-    breaker serve cache-only hits (flagged ``degraded=True``) instead
-    of failing everything fast.
+    The reliability knobs: ``default_deadline_ms`` attaches a deadline
+    to every submit that does not bring its own; ``retry_policy``
+    retries transient per-request executor failures with seeded
+    backoff; ``breaker`` trips on sustained failure.  These three
+    default to off.  ``degraded_mode`` (on by default, but it acts only
+    while a configured breaker is open) lets an open breaker serve
+    cache-only hits (flagged ``degraded=True``) instead of failing
+    everything fast.
     """
 
     max_batch_size: int = 32
@@ -119,14 +119,17 @@ class ServiceConfig:
 class StressService:
     """Concurrent serving front-end over one chain pipeline."""
 
-    def __init__(self, pipeline, config: ServiceConfig | None = None):
+    def __init__(self, pipeline, config: ServiceConfig | None = None, *,
+                 _executor=None):
         self.config = config or ServiceConfig()
         self.caches = StageCaches(
             describe_capacity=self.config.describe_cache_capacity,
             assess_capacity=self.config.assess_cache_capacity,
             highlight_capacity=self.config.highlight_cache_capacity,
         )
-        self.executor = ChainBatchExecutor(pipeline, self.caches)
+        # ``_executor``: the replica pool's forked executor.
+        self.executor = (_executor if _executor is not None
+                         else ChainBatchExecutor(pipeline, self.caches))
         # Held by the worker for the span of each batch's execution;
         # swap_pipeline() acquires it to wait out the in-flight batch.
         self._swap_lock = threading.Lock()

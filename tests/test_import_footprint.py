@@ -23,9 +23,12 @@ def _run(code: str) -> None:
 
 
 def test_importing_the_library_does_not_load_scipy_stats():
+    # Nor the persistence layer: a process replica's child imports it
+    # only when a swap asks it to load an artifact.
     _run("import sys\n"
          "import repro, repro.serving, repro.explainers\n"
-         "assert 'scipy.stats' not in sys.modules\n")
+         "assert 'scipy.stats' not in sys.modules\n"
+         "assert 'repro.model.persistence' not in sys.modules\n")
 
 
 def test_building_a_sobol_explainer_loads_scipy_stats():

@@ -9,7 +9,9 @@ The load-bearing guarantees (DESIGN.md section 13):
   replica, so that replica's caches stay hot;
 - a hot-swap deploy fails zero in-flight requests;
 - a canary whose circuit breaker trips is rolled back and the deploy
-  raises :class:`DeploymentError`.
+  raises :class:`DeploymentError`;
+- every replica is a :class:`StressService`, so deadlines, retries,
+  the breaker and stats behave the same on both backends.
 """
 
 from __future__ import annotations
@@ -29,12 +31,16 @@ from repro.cot.chain import ChainResult, StressChainPipeline
 from repro.errors import (
     CircuitOpenError,
     ConfigError,
+    DeadlineExceededError,
     DeploymentError,
     PoolError,
     ServiceClosedError,
 )
 from repro.model.foundation import FoundationModel
 from repro.model.registry import ModelRegistry
+from repro.reliability.breaker import BreakerConfig
+from repro.reliability.faults import FaultPlan, FaultSpec, injected
+from repro.reliability.retry import RetryPolicy
 from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
 from repro.serving.pool import (
@@ -48,6 +54,10 @@ from repro.serving.pool import (
 from repro.video.frame import Video, VideoSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "chain_golden.json"
+
+#: Both replica backends (``"process"`` needs fork).
+BACKENDS = ("thread", pytest.param("process", marks=pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="needs fork")))
 
 
 def _golden_videos() -> list[Video]:
@@ -363,11 +373,11 @@ class TestDeploy:
         would then race on its forward/feature cache."""
         with ReplicaPool(_pipeline(), num_replicas=3, backend="thread",
                          registry=registry) as pool:
-            before = [id(r.service.pipeline) for r in pool._replicas]
+            before = [id(r.pipeline) for r in pool._replicas]
             assert len(set(before)) == 3
             deployment = pool.deploy("v2")
             deployment.rollback()
-            after = [id(r.service.pipeline) for r in pool._replicas]
+            after = [id(r.pipeline) for r in pool._replicas]
             assert after == before
             # And the restored pool still computes correct results.
             video = _videos(1)[0]
@@ -387,26 +397,6 @@ class TestDeploy:
             deployment.rollback()
             assert set(pool.fingerprints()) == {v1}
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_process_replica_counts_breaker_shed_batches(self):
-        """Batches failed fast on an open breaker still show up in the
-        replica's stats snapshot, matching the thread path."""
-        from repro.reliability.breaker import BreakerConfig
-        from repro.serving.pool import _ProcessReplica
-
-        replica = _ProcessReplica(0, _pipeline(),
-                                  ServiceConfig(breaker=BreakerConfig()))
-        try:
-            for __ in range(replica.breaker.config.window):
-                replica.breaker.record(False)
-            outcomes = replica._process_batch(_videos(3))
-            assert all(isinstance(o, CircuitOpenError) for o in outcomes)
-            snapshot = replica.stats()
-            assert snapshot.batches == 1
-            assert snapshot.mean_batch_occupancy == 3.0
-        finally:
-            replica.close()
-
     def test_deploy_needs_a_registry(self):
         with ReplicaPool(_pipeline(), num_replicas=1) as pool:
             with pytest.raises(DeploymentError, match="needs a ModelRegistry"):
@@ -417,6 +407,75 @@ class TestDeploy:
                                        num_replicas=1) as pool:
             with pytest.raises(ConfigError, match="canary_fraction"):
                 pool.deploy("v2", canary_fraction=0.0)
+
+
+# ----------------------------------------------------------------------
+# Backend parity: every replica is a StressService
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBackendParity:
+    def test_default_deadline_sheds_every_request(self, backend):
+        videos = _videos(4)
+        config = ServiceConfig(default_deadline_ms=1e-6, max_wait_ms=50)
+        with ReplicaPool(_pipeline(), num_replicas=1, backend=backend,
+                         config=config) as pool:
+            futures = [pool.submit(video) for video in videos]
+            for future in futures:
+                with pytest.raises(DeadlineExceededError):
+                    future.result(timeout=60)
+            assert pool.stats().replicas[0].shed == len(videos)
+
+    def test_retry_policy_recovers_a_transient_fault(self, backend):
+        """The plan is armed before the pool forks, so a process
+        replica's child inherits it and fails its first execution."""
+        video = _videos(1)[0]
+        plan = FaultPlan([FaultSpec("serve.execute", rate=1.0,
+                                    max_faults=1)])
+        config = ServiceConfig(retry_policy=RetryPolicy(max_attempts=3,
+                                                        seed=1))
+        with injected(plan), ReplicaPool(_pipeline(), num_replicas=1,
+                                         backend=backend,
+                                         config=config) as pool:
+            result = pool.predict(video, timeout=60)
+            assert pool.stats().replicas[0].retries == 1
+        assert isinstance(result, ChainResult)
+        _assert_same_result(result, _pipeline().predict(video))
+
+    def test_replica_counts_breaker_shed_batches(self, backend):
+        """Batches failed fast on an open breaker still show up in the
+        replica's stats snapshot, on either backend."""
+        config = ServiceConfig(breaker=BreakerConfig(), max_batch_size=3,
+                               max_wait_ms=1_000.0)
+        with ReplicaPool(_pipeline(), num_replicas=1, backend=backend,
+                         config=config) as pool:
+            breaker = pool._replicas[0].breaker
+            for __ in range(breaker.config.window):
+                breaker.record(False)
+            futures = [pool.submit(video) for video in _videos(3)]
+            for future in futures:
+                with pytest.raises(CircuitOpenError):
+                    future.result(timeout=60)
+            snapshot = pool.stats().replicas[0]
+            assert snapshot.batches == 1
+            assert snapshot.mean_batch_occupancy == 3.0
+
+    def test_stats_report_the_caches_the_parent_holds(self, backend):
+        """A process replica's stage caches live in its child, so the
+        parent-side caches its stats report have capacity 0."""
+        config = ServiceConfig()
+        with ReplicaPool(_pipeline(), num_replicas=1, backend=backend,
+                         config=config) as pool:
+            pool.predict(_videos(1)[0], timeout=60)
+            cache = pool.stats().replicas[0].cache
+        want = {"describe": config.describe_cache_capacity,
+                "assess": config.assess_cache_capacity,
+                "highlight": config.highlight_cache_capacity}
+        if backend == "process":
+            want = dict.fromkeys(want, 0)
+        assert {stage: stats.capacity
+                for stage, stats in cache.items()} == want
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +510,7 @@ class TestProcessReplicaFailures:
         pool = ReplicaPool(_pipeline(), num_replicas=2, backend="process")
         try:
             assert isinstance(pool.predict(video, timeout=60), ChainResult)
-            child = pool._replicas[pool.route(video)]._process
+            child = pool._replicas[pool.route(video)].executor._process
             os.kill(child.pid, signal.SIGKILL)
             child.join(30)
             with pytest.raises(PoolError):
