@@ -104,8 +104,9 @@ class CheckpointError(ReproError):
 
 
 class PoolError(ServingError):
-    """The replica pool was used in an unsupported way (bad replica
-    count, closed pool, unknown replica backend)."""
+    """The replica pool was used in an unsupported way or lost a
+    replica (bad replica count, no ``os.fork`` on this platform, a dead
+    replica child)."""
 
 
 class RegistryError(ModelError):

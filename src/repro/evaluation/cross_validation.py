@@ -45,8 +45,8 @@ def cross_validate(
 ) -> tuple[ClassificationMetrics, list[ClassificationMetrics]]:
     """Run k-fold CV; returns (mean metrics, per-fold metrics).
 
-    ``backend`` selects the fold executor (``"serial"``, ``"thread"``
-    or ``"process"``; default from ``REPRO_PARALLEL_BACKEND``, else
+    ``backend`` selects the fold executor (``"serial"`` or
+    ``"process"``; default from ``REPRO_PARALLEL_BACKEND``, else
     serial) and ``num_workers`` the concurrency (default from
     ``REPRO_NUM_WORKERS``, else the CPU count).
     """

@@ -1,16 +1,17 @@
 """Parallel execution backends for the evaluation stack.
 
 The cross-validation harness fans independent folds out over a
-configurable executor.  Three backends are provided:
+configurable executor.  Two backends are provided:
 
 - ``"serial"`` -- a plain loop (the reference path);
-- ``"thread"`` -- a :class:`~concurrent.futures.ThreadPoolExecutor`,
-  useful when the fold work releases the GIL (NumPy kernels) or shares
-  large read-only state such as a frozen off-the-shelf model;
-- ``"process"`` -- a fork-based pool (POSIX only).  Children inherit
-  the parent's memory image, so arbitrary closures -- the fit
-  functions in :mod:`repro.evaluation.protocol` are closures -- run
-  without being picklable; only *results* cross the process boundary.
+- ``"process"`` -- a fork-based pool (POSIX only; without ``os.fork``
+  it runs serially).  Children inherit the parent's memory image, so
+  arbitrary closures -- the fit functions in
+  :mod:`repro.evaluation.protocol` are closures -- run without being
+  picklable; only *results* cross the process boundary.
+
+There is no thread backend: the folds' Python work holds the GIL, and
+threads ran slower than the serial loop.
 
 Every backend evaluates exactly the same per-item computation and
 returns results in submission order, so outputs are bitwise-identical
@@ -32,7 +33,6 @@ import pickle
 import tempfile
 import traceback
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, TypeVar
 
 from repro.config import BACKEND_ENV, NUM_WORKERS_ENV, settings
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 #: Recognised backend names.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def resolve_backend(backend: str | None = None) -> str:
@@ -64,8 +64,8 @@ def resolve_backend(backend: str | None = None) -> str:
         )
     if backend == "process" and not hasattr(os, "fork"):
         # Fork is the mechanism that lets closures cross into workers;
-        # without it the honest fallback is threads.
-        return "thread"
+        # without it the honest fallback is the serial loop.
+        return "serial"
     return backend
 
 
@@ -100,9 +100,6 @@ def parallel_map(
     workers = min(resolve_num_workers(num_workers), len(items))
     if backend == "serial" or workers == 1:
         return [fn(item) for item in items]
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
     return _fork_map(fn, items, workers)
 
 

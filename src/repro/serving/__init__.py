@@ -31,7 +31,6 @@ from repro.serving.pool import (
     PoolStatsSnapshot,
     ReplicaPool,
     clone_pipeline,
-    resolve_pool_backend,
     resolve_pool_replicas,
 )
 from repro.serving.service import (
@@ -56,7 +55,6 @@ __all__ = [
     "StageCaches",
     "StressService",
     "clone_pipeline",
-    "resolve_pool_backend",
     "resolve_pool_replicas",
     "video_content_hash",
 ]

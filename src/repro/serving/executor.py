@@ -12,7 +12,10 @@ batch mechanics:
 - every request gets its *own* :class:`~repro.model.session.DialogueSession`
   from :meth:`~repro.cot.chain.ChainCore.materialize`, so concurrent
   requests can never interleave dialogue state (the mutable-state
-  hazard DESIGN.md section 10 discusses).
+  hazard DESIGN.md section 10 discusses);
+- :meth:`ChainBatchExecutor.run_cached` answers from the caches alone
+  (the circuit breaker's degraded mode), so it runs wherever the
+  caches live -- in-process, or in a replica pool's forked child.
 
 Responses are bitwise-identical to serial
 :meth:`~repro.cot.chain.StressChainPipeline.predict` because both run
@@ -24,7 +27,7 @@ from __future__ import annotations
 from repro.cot.chain import StressChainPipeline, run_stages
 from repro.observability.tracing import span
 from repro.reliability.faults import fault_point
-from repro.serving.cache import StageCaches
+from repro.serving.cache import CacheOnlyView, StageCaches
 from repro.video.frame import Video
 
 
@@ -90,3 +93,27 @@ class ChainBatchExecutor:
                 for i in indices:
                     outcomes[i] = core.materialize()
         return outcomes, len(groups)
+
+    def run_cached(self, videos: list[Video]) -> list[object]:
+        """Answer from the stage caches alone, computing nothing.
+
+        ``outcomes[i]`` is the :class:`ChainResult` for ``videos[i]``,
+        flagged ``degraded=True`` and otherwise bitwise-identical to a
+        computed answer, when every stage it needs is cached, else
+        ``None``.  Refine and retriever pipelines are never answered
+        from cache.
+        """
+        pipeline = self.pipeline
+        if pipeline.test_time_refine or pipeline.retriever is not None:
+            return [None] * len(videos)
+        store = CacheOnlyView(self.caches)
+        outcomes: list[object] = []
+        for video in videos:
+            try:
+                core = run_stages(pipeline, video, store,
+                                  self.caches.content_key(video))
+            except Exception:  # noqa: BLE001 - a miss or a cache fault
+                outcomes.append(None)
+            else:
+                outcomes.append(core.materialize(degraded=True))
+        return outcomes

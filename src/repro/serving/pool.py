@@ -12,17 +12,18 @@ worker, stage caches, and circuit breaker:
   caches stay hot -- random routing would shred the hit rate across
   replicas.  Adding or removing a replica remaps only the ring arcs it
   owns, not the whole keyspace.
-- **One replica type, the executor local or forked.**  Every replica
-  is a plain :class:`StressService`, so batching, deadlines, retries,
-  the breaker and stats exist once.  On the ``"thread"`` backend it
-  runs its local batch executor over a per-replica pipeline clone; on
-  the ``"process"`` backend its executor forks a child that owns the
-  pipeline, a real batch executor and the stage caches, and speaks a
-  tiny pickled command protocol over a pipe (POSIX only -- mirrors
-  :mod:`repro.evaluation.parallel`'s fork backend, and falls back to
-  threads the same way).  Defaults come from
-  ``REPRO_POOL_REPLICAS`` / ``REPRO_POOL_BACKEND`` via
-  :func:`repro.config.settings`.
+- **Every replica is a service over a forked executor.**  Each
+  replica is a plain :class:`StressService`, so batching, deadlines,
+  retries, the breaker and stats exist once; its executor forks a
+  child that owns the pipeline, a real batch executor and the stage
+  caches, and speaks a tiny pickled command protocol over a pipe.
+  Degraded cache-only answers cross the pipe like batches, so an open
+  breaker answers from the child's caches.  Fork is the only backend
+  (POSIX only, like :mod:`repro.evaluation.parallel`'s process
+  backend): threaded replicas lost to one service, because the GIL
+  serializes their Python work.  Without ``os.fork`` use
+  :class:`StressService`.  The replica count defaults to
+  ``REPRO_POOL_REPLICAS`` via :func:`repro.config.settings`.
 - **Versioned hot-swap.**  :meth:`ReplicaPool.deploy` loads a version
   from a :class:`~repro.model.registry.ModelRegistry`, swaps a canary
   subset first (each replica drains its in-flight batch before its
@@ -45,7 +46,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 
-from repro.config import POOL_BACKEND_ENV, POOL_REPLICAS_ENV, settings
+from repro.config import POOL_REPLICAS_ENV, settings
 from repro.errors import (
     ConfigError,
     DeploymentError,
@@ -62,38 +63,17 @@ from repro.serving.stats import ServiceStatsSnapshot
 from repro.video.frame import Video
 
 __all__ = [
-    "POOL_BACKENDS",
     "Deployment",
     "PoolStatsSnapshot",
     "ReplicaPool",
     "clone_pipeline",
-    "resolve_pool_backend",
     "resolve_pool_replicas",
 ]
-
-#: Recognised replica backends (named after the evaluation backends).
-POOL_BACKENDS = ("thread", "process")
 
 #: Virtual nodes per replica on the hash ring.  Enough that the
 #: keyspace split between replicas stays near-even, small enough that
 #: building the ring is trivial.
 DEFAULT_VNODES = 64
-
-
-def resolve_pool_backend(backend: str | None = None) -> str:
-    """Pick the replica backend: explicit argument, then the
-    ``REPRO_POOL_BACKEND`` environment variable, then threads."""
-    if backend is None:
-        backend = settings().pool_backend or "thread"
-    if backend not in POOL_BACKENDS:
-        raise ConfigError(
-            f"unknown pool backend {backend!r} "
-            f"({POOL_BACKEND_ENV}); known: {POOL_BACKENDS}")
-    if backend == "process" and not hasattr(os, "fork"):
-        # Same honest fallback as repro.evaluation.parallel: fork is
-        # what lets an arbitrary pipeline cross into the child.
-        return "thread"
-    return backend
 
 
 def resolve_pool_replicas(num_replicas: int | None = None) -> int:
@@ -114,12 +94,11 @@ def clone_pipeline(pipeline):
     """An independent copy of ``pipeline`` computing bitwise-identical
     results.
 
-    Each thread replica needs its *own* pipeline object: the
-    foundation model caches forward activations during a pass, so two
-    replica workers sharing one model would race on that state.  The
-    clone deep-copies the model (weights and feature cache) and
-    rebinds a shallow-copied retriever to it; the verification pool is
-    shared read-only.
+    Two threads must not share one pipeline object: the foundation
+    model caches forward activations during a pass, so concurrent
+    callers would race on that state.  The clone deep-copies the model
+    (weights and feature cache) and rebinds a shallow-copied retriever
+    to it; the verification pool is shared read-only.
     """
     import copy
 
@@ -173,15 +152,15 @@ class _HashRing:
 
 
 # ----------------------------------------------------------------------
-# The process backend's executor
+# The replica executor
 # ----------------------------------------------------------------------
 
 
 class _ForkedExecutor:
-    """A ``"process"`` replica's executor: :class:`ChainBatchExecutor`'s
-    ``run_batch`` / ``replace_pipeline`` contract, served by a forked
-    child that owns the pipeline, a real ``ChainBatchExecutor`` and the
-    stage caches.  The pipe is strictly request/response and guarded by
+    """A replica's executor: :class:`ChainBatchExecutor`'s
+    ``run_batch`` / ``run_cached`` / ``replace_pipeline`` contract,
+    served by a forked child that owns the pipeline, a real
+    ``ChainBatchExecutor`` and the stage caches.  The pipe is strictly request/response and guarded by
     a lock; a batch crosses as specs plus a renderer reference
     (DESIGN.md section 13).  A child that dies fails the in-flight and
     later requests with :class:`PoolError`.
@@ -224,6 +203,8 @@ class _ForkedExecutor:
             try:
                 if command == "batch":
                     conn.send(("ok", executor.run_batch(argument)))
+                elif command == "cached":
+                    conn.send(("ok", executor.run_cached(argument)))
                 elif command == "swap":
                     kind, value = argument
                     if kind == "path":
@@ -265,6 +246,12 @@ class _ForkedExecutor:
         except BaseException as exc:  # noqa: BLE001 - fail the batch
             return [exc] * len(videos), len(videos)
 
+    def run_cached(self, videos: list[Video]) -> list[object]:
+        try:
+            return self._command("cached", videos)
+        except BaseException as exc:  # noqa: BLE001 - fail the batch
+            return [exc] * len(videos)
+
     def replace_pipeline(self, pipeline) -> None:
         """Swap the child's pipeline: ``pipeline`` is a pipeline object
         (pickled across) or the path of a registry artifact for the
@@ -303,13 +290,12 @@ class PoolStatsSnapshot:
 
     ``routed`` counts requests per replica (the routing histogram the
     consistent-hash ring produced); ``replicas`` holds each replica's
-    own :class:`ServiceStatsSnapshot`.  On the ``"process"`` backend a
-    replica's ``cache`` reports its parent-side stage caches, which
-    have capacity 0: the caches that do the work live in the child.
+    own :class:`ServiceStatsSnapshot`.  A replica's ``cache`` reports
+    its parent-side stage caches, which have capacity 0: the caches
+    that do the work live in the child.
     """
 
     num_replicas: int
-    backend: str
     version: str | None
     routed: tuple[int, ...]
     replicas: tuple[ServiceStatsSnapshot, ...]
@@ -325,14 +311,12 @@ class ReplicaPool:
     Parameters
     ----------
     pipeline:
-        The pipeline every replica starts from.  Thread replicas each
-        receive an independent :func:`clone_pipeline` copy; process
-        replicas inherit the object through fork.
+        The pipeline every replica starts from; each replica's child
+        inherits it through fork.
     num_replicas:
         Replica count (default: ``REPRO_POOL_REPLICAS``, then 1).
     backend:
-        ``"thread"`` or ``"process"`` (default: ``REPRO_POOL_BACKEND``,
-        then threads).
+        ``"process"``, the only backend (``None`` means the same).
     config:
         Per-replica :class:`ServiceConfig`.  The default attaches a
         :class:`~repro.reliability.breaker.BreakerConfig` so every
@@ -343,8 +327,8 @@ class ReplicaPool:
         :meth:`deploy` resolves versions against.
     version:
         Optional name of the version ``pipeline`` was loaded from
-        (reported in stats; lets a process pool roll back by artifact
-        path instead of pickling weights).
+        (reported in stats; lets the pool roll back by artifact path
+        instead of pickling weights).
     """
 
     def __init__(self, pipeline, *, num_replicas: int | None = None,
@@ -352,8 +336,13 @@ class ReplicaPool:
                  config: ServiceConfig | None = None,
                  registry=None, version: str | None = None,
                  vnodes: int = DEFAULT_VNODES):
+        if backend not in (None, "process"):
+            raise ConfigError(f"unknown pool backend {backend!r}; "
+                              "the only backend is 'process'")
+        if not hasattr(os, "fork"):
+            raise PoolError("ReplicaPool forks its replicas and this "
+                            "platform has no os.fork; use StressService")
         self.num_replicas = resolve_pool_replicas(num_replicas)
-        self.backend = resolve_pool_backend(backend)
         self.config = (config if config is not None
                        else ServiceConfig(breaker=BreakerConfig()))
         self.registry = registry
@@ -366,30 +355,19 @@ class ReplicaPool:
         self._closed = False
         initial = (("path", registry.verified_artifact(version), version)
                    if registry is not None and version is not None else None)
-        # A forked replica's stage caches live in its child, so the
-        # parent-side ones hold nothing, and an open breaker there has
-        # no cached answers to degrade onto: it fails fast.
+        # The stage caches live in each replica's child, so the
+        # parent-side ones hold nothing.
         forked_config = replace(
             self.config, describe_cache_capacity=0, assess_cache_capacity=0,
-            highlight_cache_capacity=0, degraded_mode=False)
-        self._replicas: list[StressService] = []
-        self._payloads: list[tuple] = []  # each replica's rollback payload
-        for index in range(self.num_replicas):
-            if self.backend == "process":
-                source = pipeline
-                replica = StressService(
-                    pipeline, forked_config,
-                    _executor=_ForkedExecutor(index, pipeline, self.config))
-            else:
-                source = pipeline if index == 0 else clone_pipeline(pipeline)
-                replica = StressService(source, self.config)
-            self._replicas.append(replica)
-            # Without a versioned artifact each replica's payload is its
-            # OWN copy.  One shared payload here would make a later
-            # rollback install the same mutable pipeline into every
-            # thread replica -- exactly the forward-state race
-            # clone_pipeline() exists to prevent.
-            self._payloads.append(initial or ("pipeline", source, None))
+            highlight_cache_capacity=0)
+        self._replicas = [
+            StressService(pipeline, forked_config,
+                          _executor=_ForkedExecutor(index, pipeline,
+                                                    self.config))
+            for index in range(self.num_replicas)]
+        # Each replica's rollback payload.
+        self._payloads: list[tuple] = [
+            initial or ("pipeline", pipeline, None)] * self.num_replicas
         metrics = global_metrics()
         metrics.gauge("pool.replicas").set(self.num_replicas)
         self._m_requests = metrics.counter("pool.requests")
@@ -430,7 +408,7 @@ class ReplicaPool:
             raise ServiceClosedError(
                 "replica pool is shut down; no new requests accepted")
         index = self.route(video)
-        with span("pool.route", replica=index, backend=self.backend):
+        with span("pool.route", replica=index):
             future = self._replicas[index].submit(video, deadline_ms)
         with self._routed_lock:
             self._routed[index] += 1
@@ -449,16 +427,13 @@ class ReplicaPool:
         """Each replica's model fingerprint (asserts which weights a
         replica actually serves -- equal fingerprints imply bitwise-
         equal forward passes)."""
-        if self.backend == "process":
-            return [r.executor.fingerprint() for r in self._replicas]
-        return [r.pipeline.model.fingerprint() for r in self._replicas]
+        return [r.executor.fingerprint() for r in self._replicas]
 
     def stats(self) -> PoolStatsSnapshot:
         with self._routed_lock:
             routed = tuple(self._routed)
         return PoolStatsSnapshot(
             num_replicas=self.num_replicas,
-            backend=self.backend,
             version=self.version,
             routed=routed,
             replicas=tuple(r.stats() for r in self._replicas),
@@ -514,27 +489,21 @@ class ReplicaPool:
 
     def _swap(self, index: int, payload) -> None:
         """Point replica ``index`` at ``payload``'s pipeline, after its
-        in-flight batch.  A forked replica's child loads a registry
-        artifact itself; a thread replica loads it here."""
-        kind, value, __ = payload
-        if kind == "path" and self.backend == "thread":
-            from repro.model.persistence import load_pipeline
-
-            value = load_pipeline(value)
+        in-flight batch.  The child loads a registry artifact itself."""
+        __, value, __ = payload
         self._replicas[index].swap_pipeline(value)
         self._payloads[index] = payload
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self, drain: bool = True, timeout: float | None = None) -> bool:
-        """Shut every replica down; ``True`` iff all drained fully (and,
-        on the process backend, every child exited cleanly)."""
+        """Shut every replica down; ``True`` iff all drained fully and
+        every child exited cleanly."""
         self._closed = True
         drained = True
         for replica in self._replicas:
             drained = replica.close(drain=drain, timeout=timeout) and drained
-            if self.backend == "process":
-                drained = replica.executor.close(timeout) and drained
+            drained = replica.executor.close(timeout) and drained
         return drained
 
     @property

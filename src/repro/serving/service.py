@@ -51,14 +51,13 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.cot.chain import run_stages
 from repro.errors import CircuitOpenError, ConfigError
 from repro.observability.metrics import global_metrics
 from repro.reliability.breaker import CLOSED, BreakerConfig, CircuitBreaker
 from repro.reliability.deadlines import Deadline
 from repro.reliability.retry import RetryPolicy, is_retryable
 from repro.serving.batcher import MicroBatcher
-from repro.serving.cache import CacheOnlyView, StageCaches
+from repro.serving.cache import StageCaches
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.stats import ServiceStats, ServiceStatsSnapshot
 from repro.video.frame import Video
@@ -273,31 +272,20 @@ class StressService:
         return outcomes, unique
 
     def _degraded_outcomes(self, videos: list[Video]) -> list[object]:
-        """Breaker-open answers: with degraded mode on, the chain runs
-        over a cache-only view of the stage caches, so a fully cached
-        request gets its normal (bitwise) answer flagged ``degraded``;
-        every other request gets :class:`CircuitOpenError`.  Refine and
-        retriever pipelines always fail fast while the breaker is open."""
-        pipeline = self.executor.pipeline
-        cache_only = (self.config.degraded_mode
-                      and not pipeline.test_time_refine
-                      and pipeline.retriever is None)
-        store = CacheOnlyView(self.caches)
-        outcomes: list[object] = []
-        for video in videos:
-            if cache_only:
-                try:
-                    core = run_stages(pipeline, video, store,
-                                      self.caches.content_key(video))
-                except Exception:  # noqa: BLE001 - a miss or a cache fault
-                    pass
-                else:
-                    self._stats.record_degraded()
-                    outcomes.append(core.materialize(degraded=True))
-                    continue
-            outcomes.append(CircuitOpenError(
-                "circuit breaker is open and the request is not fully "
-                "cached; retry after the breaker's open window"))
+        """Breaker-open answers: with degraded mode on, the executor
+        answers fully cached requests from its caches (flagged
+        ``degraded``); every other request gets
+        :class:`CircuitOpenError`, and an executor failure (a dead
+        replica child's :class:`~repro.errors.PoolError`) passes through."""
+        outcomes = (self.executor.run_cached(videos)
+                    if self.config.degraded_mode else [None] * len(videos))
+        for i, outcome in enumerate(outcomes):
+            if outcome is None:
+                outcomes[i] = CircuitOpenError(
+                    "circuit breaker is open and the request is not fully "
+                    "cached; retry after the breaker's open window")
+            elif not isinstance(outcome, BaseException):
+                self._stats.record_degraded()
         return outcomes
 
 

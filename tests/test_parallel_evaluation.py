@@ -46,7 +46,7 @@ class TestBitwiseDeterminism:
         return cross_validate(_cheap_fit, micro_uvsd, num_folds=5,
                               backend="serial")
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     @pytest.mark.parametrize("num_workers", [1, 2, 4])
     def test_cross_validate_matches_serial(self, micro_uvsd, serial_result,
                                            backend, num_workers):
@@ -69,7 +69,7 @@ class TestBitwiseDeterminism:
 class TestParallelMap:
     def test_preserves_item_order(self):
         out = parallel_map(lambda x: x * x, range(9),
-                           backend="thread", num_workers=3)
+                           backend="process", num_workers=3)
         assert out == [x * x for x in range(9)]
 
     def test_process_backend_forks(self):
@@ -90,13 +90,6 @@ class TestParallelMap:
     def test_empty_items(self):
         assert parallel_map(lambda x: x, [], backend="process") == []
 
-    def test_thread_worker_exception_propagates(self):
-        def boom(x):
-            raise ValueError(f"bad item {x}")
-
-        with pytest.raises(ValueError, match="bad item"):
-            parallel_map(boom, range(4), backend="thread", num_workers=2)
-
     def test_process_worker_exception_propagates(self):
         if not hasattr(os, "fork"):
             pytest.skip("no fork on this platform")
@@ -114,11 +107,11 @@ class TestConfigResolution:
         assert resolve_backend() == "serial"
 
     def test_backend_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert resolve_backend() == "thread"
+        monkeypatch.setenv(BACKEND_ENV, "process")
+        assert resolve_backend() == "process"
 
     def test_explicit_backend_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
+        monkeypatch.setenv(BACKEND_ENV, "process")
         assert resolve_backend("serial") == "serial"
 
     def test_unknown_backend_rejected(self, monkeypatch):
@@ -127,6 +120,20 @@ class TestConfigResolution:
         monkeypatch.setenv(BACKEND_ENV, "mpi")
         with pytest.raises(ConfigError):
             resolve_backend()
+
+    def test_thread_backend_rejected(self, monkeypatch):
+        with pytest.raises(ConfigError, match="unknown parallel backend"):
+            parallel_map(lambda x: x, range(4), backend="thread",
+                         num_workers=2)
+        monkeypatch.setenv(BACKEND_ENV, "thread")
+        with pytest.raises(ConfigError, match="unknown parallel backend"):
+            resolve_backend()
+
+    def test_process_falls_back_to_serial_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert resolve_backend("process") == "serial"
+        assert parallel_map(lambda x: x + 1, range(3), backend="process",
+                            num_workers=2) == [1, 2, 3]
 
     def test_num_workers_env_var(self, monkeypatch):
         monkeypatch.setenv(NUM_WORKERS_ENV, "3")
@@ -151,7 +158,7 @@ class TestConfigResolution:
     def test_env_workers_reach_cross_validate(self, micro_uvsd,
                                               monkeypatch):
         monkeypatch.setenv(NUM_WORKERS_ENV, "2")
-        monkeypatch.setenv(BACKEND_ENV, "thread")
+        monkeypatch.setenv(BACKEND_ENV, "process")
         mean, per_fold = cross_validate(_cheap_fit, micro_uvsd, num_folds=4)
         monkeypatch.delenv(NUM_WORKERS_ENV)
         monkeypatch.setenv(BACKEND_ENV, "serial")

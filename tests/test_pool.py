@@ -10,8 +10,9 @@ The load-bearing guarantees (DESIGN.md section 13):
 - a hot-swap deploy fails zero in-flight requests;
 - a canary whose circuit breaker trips is rolled back and the deploy
   raises :class:`DeploymentError`;
-- every replica is a :class:`StressService`, so deadlines, retries,
-  the breaker and stats behave the same on both backends.
+- every replica is a :class:`StressService` over a forked executor,
+  so deadlines, retries, the breaker, degraded cache-only answers and
+  stats behave as on a plain service.
 """
 
 from __future__ import annotations
@@ -46,18 +47,17 @@ from repro.serving import ServiceConfig, StressService
 from repro.serving.pool import (
     DEFAULT_VNODES,
     ReplicaPool,
+    _ForkedExecutor,
     _HashRing,
     clone_pipeline,
-    resolve_pool_backend,
     resolve_pool_replicas,
 )
 from repro.video.frame import Video, VideoSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "chain_golden.json"
 
-#: Both replica backends (``"process"`` needs fork).
-BACKENDS = ("thread", pytest.param("process", marks=pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="needs fork")))
+#: Every pool forks its replicas.
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 
 
 def _golden_videos() -> list[Video]:
@@ -137,23 +137,14 @@ class TestEquivalence:
             for video, want in zip(videos, reference):
                 _assert_same_result(pool.predict(video, timeout=30), want)
 
-    def test_multi_replica_thread_matches_serial(self):
+    def test_multi_replica_process_matches_serial(self):
         videos = _videos(8)
         reference = [_pipeline().predict(v) for v in videos]
         with ReplicaPool(_pipeline(), num_replicas=4,
-                         backend="thread") as pool:
-            for video, want in zip(videos, reference):
-                _assert_same_result(pool.predict(video, timeout=30), want)
-            assert sum(pool.stats().routed) == len(videos)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_multi_replica_process_matches_serial(self):
-        videos = _videos(6)
-        reference = [_pipeline().predict(v) for v in videos]
-        with ReplicaPool(_pipeline(), num_replicas=2,
                          backend="process") as pool:
             for video, want in zip(videos, reference):
                 _assert_same_result(pool.predict(video, timeout=60), want)
+            assert sum(pool.stats().routed) == len(videos)
 
     def test_clone_pipeline_is_independent_and_identical(self):
         pipeline = _pipeline()
@@ -366,25 +357,6 @@ class TestDeploy:
             assert set(pool.fingerprints()) == {v1}
             assert pool.version == "v1"
 
-    def test_rollback_keeps_thread_replica_pipelines_distinct(self, registry):
-        """A thread pool seeded from a bare pipeline rolls each replica
-        back to its OWN clone.  A shared payload would install one
-        mutable pipeline into every replica, and the concurrent workers
-        would then race on its forward/feature cache."""
-        with ReplicaPool(_pipeline(), num_replicas=3, backend="thread",
-                         registry=registry) as pool:
-            before = [id(r.pipeline) for r in pool._replicas]
-            assert len(set(before)) == 3
-            deployment = pool.deploy("v2")
-            deployment.rollback()
-            after = [id(r.pipeline) for r in pool._replicas]
-            assert after == before
-            # And the restored pool still computes correct results.
-            video = _videos(1)[0]
-            _assert_same_result(pool.predict(video, timeout=30),
-                                _pipeline().predict(video))
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_process_pool_deploy_and_rollback(self, registry):
         v1 = registry.load("v1").model.fingerprint()
         v2 = registry.load("v2").model.fingerprint()
@@ -410,16 +382,15 @@ class TestDeploy:
 
 
 # ----------------------------------------------------------------------
-# Backend parity: every replica is a StressService
+# Service parity: every replica is a StressService
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBackendParity:
-    def test_default_deadline_sheds_every_request(self, backend):
+    def test_default_deadline_sheds_every_request(self):
         videos = _videos(4)
         config = ServiceConfig(default_deadline_ms=1e-6, max_wait_ms=50)
-        with ReplicaPool(_pipeline(), num_replicas=1, backend=backend,
+        with ReplicaPool(_pipeline(), num_replicas=1,
                          config=config) as pool:
             futures = [pool.submit(video) for video in videos]
             for future in futures:
@@ -427,28 +398,27 @@ class TestBackendParity:
                     future.result(timeout=60)
             assert pool.stats().replicas[0].shed == len(videos)
 
-    def test_retry_policy_recovers_a_transient_fault(self, backend):
-        """The plan is armed before the pool forks, so a process
-        replica's child inherits it and fails its first execution."""
+    def test_retry_policy_recovers_a_transient_fault(self):
+        """The plan is armed before the pool forks, so the replica's
+        child inherits it and fails its first execution."""
         video = _videos(1)[0]
         plan = FaultPlan([FaultSpec("serve.execute", rate=1.0,
                                     max_faults=1)])
         config = ServiceConfig(retry_policy=RetryPolicy(max_attempts=3,
                                                         seed=1))
         with injected(plan), ReplicaPool(_pipeline(), num_replicas=1,
-                                         backend=backend,
                                          config=config) as pool:
             result = pool.predict(video, timeout=60)
             assert pool.stats().replicas[0].retries == 1
         assert isinstance(result, ChainResult)
         _assert_same_result(result, _pipeline().predict(video))
 
-    def test_replica_counts_breaker_shed_batches(self, backend):
+    def test_replica_counts_breaker_shed_batches(self):
         """Batches failed fast on an open breaker still show up in the
-        replica's stats snapshot, on either backend."""
+        replica's stats snapshot."""
         config = ServiceConfig(breaker=BreakerConfig(), max_batch_size=3,
                                max_wait_ms=1_000.0)
-        with ReplicaPool(_pipeline(), num_replicas=1, backend=backend,
+        with ReplicaPool(_pipeline(), num_replicas=1,
                          config=config) as pool:
             breaker = pool._replicas[0].breaker
             for __ in range(breaker.config.window):
@@ -461,21 +431,38 @@ class TestBackendParity:
             assert snapshot.batches == 1
             assert snapshot.mean_batch_occupancy == 3.0
 
-    def test_stats_report_the_caches_the_parent_holds(self, backend):
-        """A process replica's stage caches live in its child, so the
+    def test_stats_report_the_caches_the_parent_holds(self):
+        """A replica's stage caches live in its child, so the
         parent-side caches its stats report have capacity 0."""
-        config = ServiceConfig()
-        with ReplicaPool(_pipeline(), num_replicas=1, backend=backend,
-                         config=config) as pool:
+        with ReplicaPool(_pipeline(), num_replicas=1,
+                         config=ServiceConfig()) as pool:
             pool.predict(_videos(1)[0], timeout=60)
             cache = pool.stats().replicas[0].cache
-        want = {"describe": config.describe_cache_capacity,
-                "assess": config.assess_cache_capacity,
-                "highlight": config.highlight_cache_capacity}
-        if backend == "process":
-            want = dict.fromkeys(want, 0)
         assert {stage: stats.capacity
-                for stage, stats in cache.items()} == want
+                for stage, stats in cache.items()} == {
+            "describe": 0, "assess": 0, "highlight": 0}
+
+    def test_open_breaker_answers_cached_clip_degraded(self):
+        """An open breaker answers a clip the replica's child has
+        cached, bitwise equal to serial ``predict`` and flagged
+        ``degraded``; an uncached clip on that replica fails fast."""
+        videos = _videos(12)
+        warm = videos[0]
+        with ReplicaPool(_pipeline(), num_replicas=2) as pool:
+            index = pool.route(warm)
+            replica = pool._replicas[index]
+            assert isinstance(replica.executor, _ForkedExecutor)
+            pool.predict(warm, timeout=60)
+            breaker = replica.breaker
+            for __ in range(breaker.config.window):
+                breaker.record(False)
+            degraded = pool.predict(warm, timeout=60)
+            assert degraded.degraded is True
+            _assert_same_result(degraded, _pipeline().predict(warm))
+            assert pool.stats().replicas[index].degraded == 1
+            cold = next(v for v in videos[1:] if pool.route(v) == index)
+            with pytest.raises(CircuitOpenError):
+                pool.predict(cold, timeout=60)
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +478,6 @@ class _ChildKiller(Video):
         return os._exit, (9,)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 class TestProcessReplicaFailures:
     def test_child_dying_mid_batch_fails_with_pool_error(self):
         pool = ReplicaPool(_pipeline(), num_replicas=1, backend="process")
@@ -538,15 +524,15 @@ class TestConfig:
         assert resolve_pool_replicas() == 3
         assert resolve_pool_replicas(2) == 2
 
-    def test_backend_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_BACKEND", "process")
-        assert resolve_pool_backend() in ("process", "thread")
-        monkeypatch.delenv("REPRO_POOL_BACKEND")
-        assert resolve_pool_backend() == "thread"
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="unknown pool backend"):
-            resolve_pool_backend("gpu")
+        for backend in ("thread", "gpu"):
+            with pytest.raises(ConfigError, match="unknown pool backend"):
+                ReplicaPool(_pipeline(), num_replicas=1, backend=backend)
+
+    def test_no_fork_raises_pool_error(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(PoolError, match="StressService"):
+            ReplicaPool(_pipeline(), num_replicas=1)
 
     def test_bad_replica_count_rejected(self):
         with pytest.raises(PoolError, match="num_replicas"):
