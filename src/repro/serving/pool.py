@@ -160,10 +160,11 @@ class _ForkedExecutor:
     """A replica's executor: :class:`ChainBatchExecutor`'s
     ``run_batch`` / ``run_cached`` / ``replace_pipeline`` contract,
     served by a forked child that owns the pipeline, a real
-    ``ChainBatchExecutor`` and the stage caches.  The pipe is strictly request/response and guarded by
-    a lock; a batch crosses as specs plus a renderer reference
-    (DESIGN.md section 13).  A child that dies fails the in-flight and
-    later requests with :class:`PoolError`.
+    ``ChainBatchExecutor`` and the stage caches.  The pipe is strictly
+    request/response and guarded by a lock; a batch crosses as specs
+    plus a renderer reference (DESIGN.md section 13).  A child that
+    dies fails the in-flight and later requests with
+    :class:`PoolError`.
     """
 
     #: The pipeline lives in the child only.
@@ -206,12 +207,11 @@ class _ForkedExecutor:
                 elif command == "cached":
                     conn.send(("ok", executor.run_cached(argument)))
                 elif command == "swap":
-                    kind, value = argument
-                    if kind == "path":
+                    if isinstance(argument, (str, os.PathLike)):
                         from repro.model.persistence import load_pipeline
 
-                        value = load_pipeline(value)
-                    executor.replace_pipeline(value)
+                        argument = load_pipeline(argument)
+                    executor.replace_pipeline(argument)
                     caches.clear()
                     conn.send(("ok", None))
                 elif command == "fingerprint":
@@ -256,9 +256,7 @@ class _ForkedExecutor:
         """Swap the child's pipeline: ``pipeline`` is a pipeline object
         (pickled across) or the path of a registry artifact for the
         child to load."""
-        kind = ("path" if isinstance(pipeline, (str, os.PathLike))
-                else "pipeline")
-        self._command("swap", (kind, pipeline))
+        self._command("swap", pipeline)
 
     def fingerprint(self) -> str:
         return self._command("fingerprint", None)
@@ -353,7 +351,7 @@ class ReplicaPool:
         self._routed_lock = threading.Lock()
         self._deploy_lock = threading.Lock()
         self._closed = False
-        initial = (("path", registry.verified_artifact(version), version)
+        initial = ((registry.verified_artifact(version), version)
                    if registry is not None and version is not None else None)
         # The stage caches live in each replica's child, so the
         # parent-side ones hold nothing.
@@ -365,9 +363,10 @@ class ReplicaPool:
                           _executor=_ForkedExecutor(index, pipeline,
                                                     self.config))
             for index in range(self.num_replicas)]
-        # Each replica's rollback payload.
+        # Each replica's rollback payload: (artifact path or pipeline,
+        # version).
         self._payloads: list[tuple] = [
-            initial or ("pipeline", pipeline, None)] * self.num_replicas
+            initial or (pipeline, None)] * self.num_replicas
         metrics = global_metrics()
         metrics.gauge("pool.replicas").set(self.num_replicas)
         self._m_requests = metrics.counter("pool.requests")
@@ -467,7 +466,7 @@ class ReplicaPool:
             raise ConfigError(
                 f"canary_fraction must be in (0, 1], got {canary_fraction}")
         artifact = registry.verified_artifact(version)
-        payload = ("path", artifact, version)
+        payload = (artifact, version)
         if canary_fraction >= 1.0:
             canary_count = self.num_replicas
         else:
@@ -490,8 +489,7 @@ class ReplicaPool:
     def _swap(self, index: int, payload) -> None:
         """Point replica ``index`` at ``payload``'s pipeline, after its
         in-flight batch.  The child loads a registry artifact itself."""
-        __, value, __ = payload
-        self._replicas[index].swap_pipeline(value)
+        self._replicas[index].swap_pipeline(payload[0])
         self._payloads[index] = payload
 
     # -- lifecycle -----------------------------------------------------
@@ -589,7 +587,7 @@ class Deployment:
                 with span("pool.swap", replica=index, rollback=True):
                     self.pool._swap(index, payload)
         self.pool._m_rollbacks.inc()
-        previous_versions = {payload[2]
+        previous_versions = {payload[1]
                              for payload in self._previous.values()}
         if len(previous_versions) == 1:
             self.pool.version = next(iter(previous_versions))

@@ -357,6 +357,20 @@ class TestDeploy:
             assert set(pool.fingerprints()) == {v1}
             assert pool.version == "v1"
 
+    def test_bare_pipeline_pool_rolls_back_to_its_pipeline(self, registry):
+        """A pool seeded from a bare pipeline has no artifact to roll
+        back to, so the rollback pickles that pipeline into each child;
+        the restored replicas still compute serial results."""
+        pipeline = _pipeline()
+        video = _videos(1)[0]
+        with ReplicaPool(pipeline, num_replicas=2,
+                         registry=registry) as pool:
+            deployment = pool.deploy("v2")
+            deployment.rollback()
+            assert set(pool.fingerprints()) == {pipeline.model.fingerprint()}
+            _assert_same_result(pool.predict(video, timeout=60),
+                                _pipeline().predict(video))
+
     def test_process_pool_deploy_and_rollback(self, registry):
         v1 = registry.load("v1").model.fingerprint()
         v2 = registry.load("v2").model.fingerprint()
