@@ -146,6 +146,34 @@ class TestEquivalence:
                 _assert_same_result(pool.predict(video, timeout=60), want)
             assert sum(pool.stats().routed) == len(videos)
 
+    def test_multi_replica_thread_matches_serial(self):
+        """Every replica is forked, so the threads here are the callers':
+        one client thread per clip, all in flight at once, must still get
+        the serial result, and each clip is routed exactly once."""
+        videos = _videos(8)
+        reference = [_pipeline().predict(v) for v in videos]
+        results: list[ChainResult | None] = [None] * len(videos)
+        failures: list[BaseException] = []
+
+        def client(pool: ReplicaPool, index: int) -> None:
+            try:
+                results[index] = pool.predict(videos[index], timeout=60)
+            except BaseException as exc:  # noqa: BLE001 - collected
+                failures.append(exc)
+
+        with ReplicaPool(_pipeline(), num_replicas=4) as pool:
+            threads = [threading.Thread(target=client, args=(pool, i))
+                       for i in range(len(videos))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            for got, want in zip(results, reference):
+                _assert_same_result(got, want)
+            assert sum(pool.stats().routed) == len(videos)
+
     def test_clone_pipeline_is_independent_and_identical(self):
         pipeline = _pipeline()
         clone = clone_pipeline(pipeline)
