@@ -7,7 +7,7 @@ Two timed comparisons, each against the pre-engine reference path:
    single-frame callable (every perturbation pays one model call) vs
    the :class:`~repro.explainers.base.BatchPredictFn` returned by
    :func:`~repro.explainers.evaluation.chain_predict_fn`, which scores
-   the whole perturbation stack in one vectorized pass.
+   the perturbations in vectorized chunks of up to ~128 frames.
 2. **Cross-validated baseline** -- ``evaluate_baseline`` with the
    serial fold loop vs the process backend.
 

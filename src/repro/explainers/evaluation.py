@@ -61,8 +61,8 @@ def chain_predict_fn(pipeline: StressChainPipeline,
     ``f_e`` is segmented and perturbed in the paper's protocol).
 
     The returned black box carries both the single-frame path and the
-    vectorized ``batch`` path, so explainers score their whole
-    perturbation stack in one model pass.
+    vectorized ``batch`` path, so explainers score their perturbations
+    a bounded chunk of frames per call rather than one frame per call.
     """
     __, neutral = sample.video.keyframes
     model = pipeline.model

@@ -16,7 +16,7 @@ from repro.explainers.base import (
     Explainer,
     PredictFn,
     SegmentAttribution,
-    predict_batch,
+    _predict_chunked,
 )
 from repro.rng import make_rng
 from repro.video.perturb import apply_masks_batch
@@ -43,6 +43,10 @@ class LimeExplainer(Explainer):
                  kernel_width: float = 0.25, ridge: float = 1e-3):
         if num_samples < 8:
             raise ValueError("num_samples must be at least 8")
+        if not 0.0 < keep_prob < 1.0:
+            raise ValueError("keep_prob must lie strictly in (0, 1)")
+        if not kernel_width > 0.0:
+            raise ValueError("kernel_width must be positive")
         self.num_samples = num_samples
         self.keep_prob = keep_prob
         self.kernel_width = kernel_width
@@ -55,8 +59,9 @@ class LimeExplainer(Explainer):
         masks = (rng.random((self.num_samples, num_segments))
                  < self.keep_prob).astype(np.float64)
         masks[0, :] = 1.0  # always include the unperturbed instance
-        predictions = predict_batch(
-            predict_fn, apply_masks_batch(frame, labels, masks)
+        predictions = _predict_chunked(
+            predict_fn, masks,
+            lambda chunk: apply_masks_batch(frame, labels, chunk),
         )
         # Cosine distance to the all-ones mask -> locality weights.
         ones = np.ones(num_segments)

@@ -14,7 +14,7 @@ from repro.explainers.base import (
     Explainer,
     PredictFn,
     SegmentAttribution,
-    predict_batch,
+    _predict_chunked,
 )
 from repro.video.perturb import zero_segments_batch
 
@@ -27,12 +27,12 @@ class OcclusionExplainer(Explainer):
     def attribute(self, frame: np.ndarray, labels: np.ndarray,
                   predict_fn: PredictFn, seed: int = 0) -> SegmentAttribution:
         num_segments = self._num_segments(labels)
-        # The clean frame and every single-segment blank go through the
-        # model as one stack.
-        stack = np.concatenate([
-            frame[np.newaxis, :, :], zero_segments_batch(frame, labels)
-        ])
-        outputs = predict_batch(predict_fn, stack)
+        # Row 0 blanks segment -1, i.e. nothing: the clean frame.  Row
+        # 1 + s blanks segment s alone.
+        outputs = _predict_chunked(
+            predict_fn, np.arange(-1, num_segments),
+            lambda chunk: zero_segments_batch(frame, labels, chunk),
+        )
         base = float(outputs[0])
         scores = base - outputs[1:]
         # Attribution of evidence *for* the predicted class: flip sign

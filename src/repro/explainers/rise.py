@@ -18,7 +18,7 @@ from repro.explainers.base import (
     Explainer,
     PredictFn,
     SegmentAttribution,
-    predict_batch,
+    _predict_chunked,
 )
 from repro.rng import make_rng
 from repro.video.perturb import apply_masks_batch
@@ -51,8 +51,9 @@ class RiseExplainer(Explainer):
         rng = make_rng(seed, "rise")
         masks = (rng.random((self.num_samples, num_segments))
                  < self.keep_prob).astype(np.float64)
-        predictions = predict_batch(
-            predict_fn, apply_masks_batch(frame, labels, masks)
+        predictions = _predict_chunked(
+            predict_fn, masks,
+            lambda chunk: apply_masks_batch(frame, labels, chunk),
         )
         mean_output = predictions.mean()
         visible_counts = masks.sum(axis=0)

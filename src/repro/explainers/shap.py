@@ -19,7 +19,7 @@ from repro.explainers.base import (
     Explainer,
     PredictFn,
     SegmentAttribution,
-    predict_batch,
+    _predict_chunked,
 )
 from repro.rng import make_rng
 from repro.video.perturb import apply_masks_batch
@@ -62,12 +62,12 @@ class KernelShapExplainer(Explainer):
             on = rng.choice(num_segments, size=size, replace=False)
             masks[i, on] = 1.0
 
-        # The two deterministic endpoints ride along in the same batch
-        # as the sampled coalitions: one model pass for everything.
+        # The two deterministic endpoints lead the sampled coalitions
+        # through the same chunked scoring pass.
         endpoints = np.vstack([np.zeros(num_segments), np.ones(num_segments)])
-        outputs = predict_batch(
-            predict_fn,
-            apply_masks_batch(frame, labels, np.vstack([endpoints, masks])),
+        outputs = _predict_chunked(
+            predict_fn, np.vstack([endpoints, masks]),
+            lambda chunk: apply_masks_batch(frame, labels, chunk),
         )
         base, full = float(outputs[0]), float(outputs[1])
         predictions = outputs[2:]

@@ -22,7 +22,7 @@ from repro.explainers.base import (
     Explainer,
     PredictFn,
     SegmentAttribution,
-    predict_batch,
+    _predict_chunked,
 )
 from repro.rng import derive_seed
 
@@ -45,6 +45,8 @@ class SobolExplainer(Explainer):
     def __init__(self, num_designs: int = 16, baseline: float = 0.5):
         if num_designs < 2:
             raise ValueError("num_designs must be at least 2")
+        if not np.isfinite(baseline):
+            raise ValueError("baseline must be finite")
         # Imported here, not at module level: scipy.stats adds tens of
         # MB to every process that loads it, forked serving replicas
         # included, and only a process that builds a SOBOL explainer
@@ -65,23 +67,25 @@ class SobolExplainer(Explainer):
         a_masks = designs[:, :num_segments]
         b_masks = designs[:, num_segments:]
 
-        base_eval = predict_batch(
-            predict_fn, self._fade(frame, labels, np.vstack([a_masks, b_masks]))
+        def render(chunk: np.ndarray) -> np.ndarray:
+            return self._fade(frame, labels, chunk)
+
+        base_eval = _predict_chunked(
+            predict_fn, np.vstack([a_masks, b_masks]), render
         )
         f_a = base_eval[: self.num_designs]
         f_b = base_eval[self.num_designs:]
         evaluations = 2 * self.num_designs
 
-        # All N*d hybrid design points go through the model in one
-        # batch: hybrid block i is A with column i taken from B.
+        # All N*d hybrid design points go through one chunked scoring
+        # pass: hybrid block i is A with column i taken from B.
         hybrids = np.repeat(a_masks[np.newaxis, :, :], num_segments, axis=0)
         hybrids[np.arange(num_segments), :, np.arange(num_segments)] = \
             b_masks.T
-        f_hybrid = predict_batch(
+        f_hybrid = _predict_chunked(
             predict_fn,
-            self._fade(frame, labels,
-                       hybrids.reshape(num_segments * self.num_designs,
-                                       num_segments)),
+            hybrids.reshape(num_segments * self.num_designs, num_segments),
+            render,
         ).reshape(num_segments, self.num_designs)
         evaluations += num_segments * self.num_designs
 
@@ -96,6 +100,11 @@ class SobolExplainer(Explainer):
     def _fade(self, frame: np.ndarray, labels: np.ndarray,
               masks: np.ndarray) -> np.ndarray:
         """Blend each segment toward the baseline by ``1 - mask_i``,
-        for a ``(N, S)`` mask matrix -> ``(N, H, W)`` frame stack."""
+        for a ``(N, S)`` mask matrix -> ``(N, H, W)`` frame stack.
+
+        The gathered per-pixel ``alpha`` becomes the output in place,
+        so the stack is the only ``(N, H, W)`` array allocated."""
         alpha = masks[:, labels]
-        return self.baseline + alpha * (frame - self.baseline)
+        alpha *= frame - self.baseline
+        alpha += self.baseline
+        return alpha

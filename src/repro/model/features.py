@@ -84,7 +84,8 @@ def keyframe_features_batch(expressive: np.ndarray, neutral: np.ndarray,
 
     Row ``i`` equals ``keyframe_features(expressive[i], neutral, grid)``;
     this is the vectorized entry point the batched prediction engine
-    uses to score hundreds of perturbations in one NumPy pass.
+    uses to score each chunk of up to ~128 explainer perturbations in
+    one NumPy pass.
     """
     expressive = np.asarray(expressive, dtype=np.float64)
     if expressive.ndim != 3:

@@ -339,12 +339,15 @@ class FoundationModel(Module):
     def chain_prob_from_frames_batch(self, expressive: np.ndarray,
                                      neutral: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`chain_prob_from_frames`: greedy-describe
-        and assess a whole stack of perturbed frames in one NumPy pass.
+        and assess a stack of perturbed frames in one NumPy pass.
 
         This is the batched engine behind the post-hoc explainers and
         the deletion metric -- feature extraction, the AU heads and the
         assessment head each run once over the stack instead of once
-        per frame.  Returns stress probabilities, shape (N,).
+        per frame.  The explainers hand it their perturbations in
+        chunks of about 128 frames (:mod:`repro.explainers.base`), so
+        it is called several times per attribution.  Returns stress
+        probabilities, shape (N,).
         """
         features = self.frame_pair_features_batch(expressive, neutral)
         embed = self.trunk.forward(features)

@@ -115,9 +115,9 @@ def apply_masks_batch(frame: np.ndarray, labels: np.ndarray,
     """Vectorized :func:`apply_mask` over a ``(N, S)`` keep matrix.
 
     Returns a ``(N, H, W)`` stack where row ``i`` equals
-    ``apply_mask(frame, labels, keeps[i], fill)``.  Building the whole
-    perturbation batch in one broadcast is what lets the explainers
-    submit their masks to the model in a single batched call.
+    ``apply_mask(frame, labels, keeps[i], fill)``, built in one
+    broadcast.  Explainers call it on one chunk of their mask matrix
+    at a time, so the stack never spans their whole budget.
     """
     frame = _validate_frame(frame)
     keeps = np.atleast_2d(np.asarray(keeps))
@@ -127,23 +127,30 @@ def apply_masks_batch(frame: np.ndarray, labels: np.ndarray,
             f"keeps must have one column per segment ({num_labels}), "
             f"got shape {keeps.shape}"
         )
-    kept = keeps[:, labels] > 0.5          # (N, H, W) per-pixel keep map
+    # Threshold per segment, then gather: the (N, H, W) keep map is
+    # bool, not a float64 gather compared afterwards.  The gather lays
+    # the stack out row-index-fastest; the model's patch-mean sums, and
+    # so the pinned explainer bits, follow that layout.
+    kept = (keeps > 0.5)[:, labels]
     return np.where(kept, frame[np.newaxis, :, :], fill)
 
 
 def zero_segments_batch(frame: np.ndarray, labels: np.ndarray,
+                        segment_ids: np.ndarray,
                         fill: float = 0.5) -> np.ndarray:
-    """One-blanked-segment-per-row stack, shape ``(S, H, W)``.
+    """One-blanked-segment-per-row stack, shape ``(N, H, W)``.
 
-    Row ``s`` equals ``zero_segments(frame, labels, [s], fill)`` -- the
-    full leave-one-out sweep the occlusion explainer evaluates.
+    Row ``i`` equals ``zero_segments(frame, labels, [segment_ids[i]],
+    fill)``; an id that names no segment (such as ``-1``) leaves its
+    row the clean frame.  This is the leave-one-out sweep the occlusion
+    explainer evaluates, one chunk of ids at a time.
     """
     frame = _validate_frame(frame)
     if labels.shape != frame.shape:
         raise ExplainerError("labels must have the same shape as the frame")
-    num_labels = int(labels.max()) + 1
-    blank = labels[np.newaxis, :, :] == np.arange(num_labels)[:, None, None]
-    return np.where(blank, fill, frame[np.newaxis, :, :])
+    ids = np.asarray(segment_ids).reshape(-1, 1, 1)
+    return np.where(labels[np.newaxis, :, :] == ids, fill,
+                    frame[np.newaxis, :, :])
 
 
 def mosaic_region(frame: np.ndarray, region: FacialRegion,

@@ -112,6 +112,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             SobolExplainer(num_designs=1)
 
+    @pytest.mark.parametrize("keep_prob", [0.0, 1.0, -0.1, 1.5])
+    def test_lime_keep_prob_must_leave_segments_varying(self, keep_prob):
+        # 0 or 1 switches every segment the same way in every sample,
+        # so all segments would get the same score.
+        with pytest.raises(ValueError, match="keep_prob"):
+            LimeExplainer(keep_prob=keep_prob)
+
+    @pytest.mark.parametrize("kernel_width", [0.0, -0.25, float("nan")])
+    def test_lime_kernel_width_must_be_positive(self, kernel_width):
+        # A zero width divides by zero in the locality kernel: the
+        # scores come out NaN or all zero.
+        with pytest.raises(ValueError, match="kernel_width"):
+            LimeExplainer(kernel_width=kernel_width)
+
+    @pytest.mark.parametrize("baseline", [float("nan"), float("inf")])
+    def test_sobol_baseline_must_be_finite(self, baseline):
+        # A NaN fill propagates into every faded frame and every score.
+        with pytest.raises(ValueError, match="baseline"):
+            SobolExplainer(baseline=baseline)
+
     def test_single_segment_rejected(self):
         frame = np.zeros((16, 16))
         labels = np.zeros((16, 16), dtype=np.int64)
